@@ -23,34 +23,29 @@ from .core import (
     InvalidConfigError,
     ParseError,
     PointForecast,
+    TooLargeError,
+    as_int,
+    read_params,
     trajectory_mse,
 )
 from .engine import (
+    ENVS,
+    REPLAY_OPENING,
     SETTINGS,
     SimConfig,
     Trajectory,
+    build_game,
     monte_carlo,
     policy_summary,
     replay,
     run_dynamic,
 )
 from .environments import FiniteCongestionGame
+from .policies import POLICIES
 
 logger = logging.getLogger("crowdcast")
 
 _RUN_KEYS = {"setting", "stages", "seed", "covariate", "losses"}
-_POLICY_KEYS = {
-    "expodamp": {"name", "alpha", "initial"},
-    "average": {"name", "prior"},
-    "naive": {"name", "initial", "initial_profile"},
-    "kalman": {"name", "beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var"},
-    "empirical": {"name", "initial_profile"},
-    "partpred": {"name", "r", "update", "initial_index"},
-}
-_ENV_KEYS = {
-    "linear": {"beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var"},
-    "nonatomic": {"phi", "chi", "delta", "x", "grid_n"},
-}
 
 
 # --- day-matrix CSV ------------------------------------------------------------
@@ -131,41 +126,14 @@ def _check_keys(path: str, section: str, present: Sequence[str], allowed: set[st
             )
 
 
-def _floats_list(raw: str) -> tuple[float, ...]:
-    parts = raw.replace(",", " ").split()
-    return tuple(float(p) for p in parts)
-
-
-def _ints_list(raw: str) -> tuple[int, ...]:
-    parts = raw.replace(",", " ").split()
-    return tuple(int(p) for p in parts)
-
-
 def _game_section(path: str, parser: configparser.ConfigParser, section: str) -> FiniteCongestionGame:
     if not parser.has_section(section):
         raise InvalidConfigError(f"{path}: missing [{section}] section")
     sec = parser[section]
-    raw_n, raw_d = sec.get("players"), sec.get("slots")
-    if raw_n is None or raw_d is None:
-        raise InvalidConfigError(f"{path}: [{section}] needs players and slots")
-    try:
-        n, d = int(raw_n), int(raw_d)
-    except ValueError:
-        raise InvalidConfigError(f"{path}: [{section}] players/slots must be integers")
-    allowed = {"players", "slots"} | {f"slot_{k}" for k in range(d)}
+    game = build_game(sec, f"{path}: {section}")
+    allowed = {"players", "slots"} | {f"slot_{k}" for k in range(game.d)}
     _check_keys(path, section, list(sec.keys()), allowed)
-    rows = []
-    for k in range(d):
-        raw = sec.get(f"slot_{k}")
-        if raw is None:
-            raise InvalidConfigError(f"{path}: [{section}] missing slot_{k} utilities")
-        row = _floats_list(raw)
-        if len(row) != n:
-            raise InvalidConfigError(
-                f"{path}: [{section}] slot_{k} lists {len(row)} utilities, expected {n}"
-            )
-        rows.append(row)
-    return FiniteCongestionGame(n=n, d=d, utility=tuple(rows))
+    return game
 
 
 def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
@@ -181,56 +149,38 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
         raise InvalidConfigError(
             f"{path}: run.setting must be one of {', '.join(SETTINGS)}, got {setting!r}"
         )
-    raw_stages, raw_seed = run.get("stages"), run.get("seed")
-    if raw_stages is None or raw_seed is None:
-        raise InvalidConfigError(f"{path}: run.stages and run.seed are required")
-    try:
-        stages, seed = int(raw_stages), int(raw_seed)
-    except ValueError:
-        raise InvalidConfigError(f"{path}: run.stages and run.seed must be integers")
+    counts = read_params(
+        run, {"stages": as_int, "seed": as_int}, f"{path}: run", ("stages", "seed")
+    )
     losses = None
     if run.get("losses") is not None:
         losses = tuple(run.get("losses").replace(",", " ").split())
 
     pol = parser["policy"]
     name = pol.get("name")
-    if name not in _POLICY_KEYS:
+    if name not in POLICIES:
         raise InvalidConfigError(
-            f"{path}: policy.name {name!r} unknown; valid names: {', '.join(sorted(_POLICY_KEYS))}"
+            f"{path}: policy.name {name!r} unknown; valid names: {', '.join(sorted(POLICIES))}"
         )
-    _check_keys(path, "policy", list(pol.keys()), _POLICY_KEYS[name])
-    policy_params: dict[str, object] = {}
-    for key in pol:
-        if key == "name":
-            continue
-        raw = pol.get(key)
-        if key in {"initial", "prior"}:
-            policy_params[key] = _floats_list(raw)
-        elif key == "initial_profile":
-            policy_params[key] = _ints_list(raw)
-        elif key in {"r", "initial_index"}:
-            policy_params[key] = int(raw)
-        elif key == "update":
-            policy_params[key] = raw.strip()
-        else:
-            policy_params[key] = float(raw)
+    spec = POLICIES[name].PARAMS
+    _check_keys(path, "policy", list(pol.keys()), {"name", *spec})
+    policy_params = read_params(pol, spec, f"{path}: policy")
 
-    env_params: dict[str, object] = {}
     if setting == "finite-game":
-        env_params["game"] = _game_section(path, parser, "environment")
+        env_params: dict[str, object] = {"game": _game_section(path, parser, "environment")}
     else:
         env = parser["environment"]
-        _check_keys(path, "environment", list(env.keys()), _ENV_KEYS[setting])
-        for key in env:
-            env_params[key] = int(env.get(key)) if key == "grid_n" else float(env.get(key))
+        spec = ENVS[setting].PARAMS
+        _check_keys(path, "environment", list(env.keys()), set(spec))
+        env_params = read_params(env, spec, f"{path}: environment")
 
     return SimConfig(
         setting=setting,
         policy=name,
         policy_params=policy_params,
         env_params=env_params,
-        stages=stages,
-        seed=seed if seed_override is None else seed_override,
+        stages=counts["stages"],
+        seed=counts["seed"] if seed_override is None else seed_override,
         covariate=run.get("covariate", "w0"),
         log_losses=losses,
     )
@@ -328,13 +278,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-_EVAL_POLICY_KEYS = {
-    "expodamp": {"alpha", "initial"},
-    "average": {"prior"},
-    "naive": {"initial"},
-}
-
-
 def _evaluate_specs(path: str | None) -> list[tuple[str, dict[str, object]]]:
     if path is None:
         return [("expodamp", {"alpha": 0.3}), ("average", {})]
@@ -342,25 +285,22 @@ def _evaluate_specs(path: str | None) -> list[tuple[str, dict[str, object]]]:
     if not parser.has_section("evaluate"):
         raise InvalidConfigError(f"{path}: missing [evaluate] section")
     _check_keys(path, "evaluate", list(parser["evaluate"].keys()), {"policies"})
-    raw = parser["evaluate"].get("policies")
-    if raw is None:
-        raise InvalidConfigError(f"{path}: evaluate.policies is required")
+    names = parser["evaluate"].get("policies", "").replace(",", " ").split()
+    if not names:
+        raise InvalidConfigError(f"{path}: evaluate.policies: expected at least one policy name")
     specs = []
-    for name in raw.replace(",", " ").split():
-        if name not in _EVAL_POLICY_KEYS:
+    for name in names:
+        if name not in REPLAY_OPENING:
             raise InvalidConfigError(
                 f"{path}: evaluate policy {name!r} unknown; valid names: "
-                f"{', '.join(sorted(_EVAL_POLICY_KEYS))}"
+                f"{', '.join(sorted(REPLAY_OPENING))}"
             )
         params: dict[str, object] = {}
         if parser.has_section(name):
-            _check_keys(path, name, list(parser[name].keys()), _EVAL_POLICY_KEYS[name])
-            for key in parser[name]:
-                raw_val = parser[name].get(key)
-                if key in {"initial", "prior"}:
-                    params[key] = _floats_list(raw_val)
-                else:
-                    params[key] = float(raw_val)
+            # replayed observations are point vectors, so profile keys do not apply
+            spec = {k: v for k, v in POLICIES[name].PARAMS.items() if k != "initial_profile"}
+            _check_keys(path, name, list(parser[name].keys()), set(spec))
+            params = read_params(parser[name], spec, f"{path}: {name}")
         specs.append((name, params))
     return specs
 
@@ -396,7 +336,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     parser = _read_ini(args.config)
     section = "game" if parser.has_section("game") else "environment"
     game = _game_section(args.config, parser, section)
-    report = analysis.prediction_equilibrium_report(game)
+    try:
+        report = analysis.prediction_equilibrium_report(game)
+    except TooLargeError as exc:
+        raise TooLargeError(f"{args.config}: {exc}") from None
     candidates = analysis.candidate_set(game)
     print(f"game: {game.n} players, {game.d} slots")
     strict = set(report.strict_nash)

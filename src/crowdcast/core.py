@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 
 class CrowdcastError(Exception):
@@ -53,6 +53,67 @@ class NoFixedPointError(CrowdcastError):
 
 class ParseError(CrowdcastError):
     """Malformed input file; the message names the offending line."""
+
+
+# --- config value converters ------------------------------------------------------
+# Each converter takes a raw value, either an INI string or an already-typed
+# Python value, plus the field path its error names (e.g. "run.ini: policy.alpha").
+
+
+def as_float(value: object, path: str) -> float:
+    try:
+        out = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise InvalidConfigError(f"{path}: expected a finite real number, got {value!r}")
+    return out
+
+
+def as_int(value: object, path: str) -> int:
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise InvalidConfigError(f"{path}: expected an integer, got {value!r}") from None
+
+
+def _listed(value: object, path: str, expected: str) -> Sequence[object]:
+    """Items of a list value; a string is split on commas and whitespace."""
+    if isinstance(value, str):
+        return value.replace(",", " ").split()
+    if isinstance(value, (tuple, list)):
+        return value
+    raise InvalidConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
+def as_floats(value: object, path: str) -> tuple[float, ...]:
+    if isinstance(value, (int, float)):
+        value = (value,)
+    return tuple(as_float(v, path) for v in _listed(value, path, "a number or list of numbers"))
+
+
+def as_slots(value: object, path: str) -> tuple[int, ...]:
+    """Slot indices of a joint profile, one per player."""
+    if isinstance(value, JointProfile):
+        value = value.actions
+    return tuple(as_int(v, path) for v in _listed(value, path, "a list of slot indices"))
+
+
+def read_params(
+    params: Mapping[str, object],
+    spec: Mapping[str, Callable[[object, str], object]],
+    section: str,
+    required: Iterable[str] = (),
+) -> dict[str, object]:
+    """Convert each key of spec that params holds; a missing required key is an error."""
+    for key in required:
+        if key not in params:
+            raise InvalidConfigError(f"{section}.{key}: required parameter missing")
+    return {
+        key: convert(params[key], f"{section}.{key}") for key, convert in spec.items() if key in params
+    }
 
 
 # Tolerance used for "two discrete distributions are the same" checks.
@@ -213,7 +274,10 @@ def point_pred_loss(a: PointForecast, y_mean: Sequence[float]) -> float:
     y = tuple(float(v) for v in y_mean)
     if len(y) != len(a):
         raise ShapeError(f"forecast has {len(a)} entries, outcome mean has {len(y)}")
-    return math.fsum((av - yv) ** 2 for av, yv in zip(a.values, y))
+    try:
+        return math.fsum((av - yv) ** 2 for av, yv in zip(a.values, y))
+    except OverflowError:  # a squared error beyond the float range
+        return math.inf
 
 
 def _observation_vector(y: object) -> tuple[float, ...]:

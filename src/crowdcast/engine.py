@@ -22,10 +22,15 @@ from .core import (
     DiscreteDistribution,
     Forecast,
     InvalidConfigError,
+    InvalidParameterError,
     JointProfile,
     PointForecast,
     StageRecord,
+    as_float,
+    as_floats,
+    as_int,
     point_pred_loss,
+    read_params,
     tv_distance,
 )
 from .environments import (
@@ -33,7 +38,7 @@ from .environments import (
     FiniteCongestionGame,
     LinearAggregateEnv,
     NonatomicPopulation,
-    bayes_best_response,
+    best_response,
     bayes_play_profile,
     bayes_response_distribution,
     linear_step,
@@ -121,63 +126,16 @@ def closed_form_trajectory(
     return [x + (1.0 - gamma) * (a0 - x) * rate**t for t in range(T)]
 
 
-# --- parameter access helpers --------------------------------------------------
-
-
-def _need(params: Mapping[str, object], key: str, path: str) -> object:
-    if key not in params:
-        raise InvalidConfigError(f"{path}.{key}: required parameter missing")
-    return params[key]
-
-
-def _as_float(value: object, path: str) -> float:
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"{path}: expected a real number, got {value!r}")
-
-
-def _as_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidConfigError(f"{path}: expected an integer, got {value!r}")
-    try:
-        return int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise InvalidConfigError(f"{path}: expected an integer, got {value!r}")
-
-
-def _as_floats(value: object, path: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, (tuple, list)):
-        return tuple(_as_float(v, path) for v in value)
-    raise InvalidConfigError(f"{path}: expected a number or list of numbers")
-
-
-def _as_profile(value: object, path: str) -> JointProfile:
-    if isinstance(value, JointProfile):
-        return value
-    if isinstance(value, (tuple, list)):
-        return JointProfile(tuple(_as_int(v, path) for v in value))
-    raise InvalidConfigError(f"{path}: expected a list of slot indices")
-
-
 # --- environment adapters ------------------------------------------------------
 
 
 class _LinearEnv:
     kind = "point"
+    PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
-        self.env = LinearAggregateEnv.create(
-            beta=_as_float(_need(params, "beta", "environment"), "environment.beta"),
-            gamma=_as_float(_need(params, "gamma", "environment"), "environment.gamma"),
-            x0_mean=_as_float(_need(params, "x0_mean", "environment"), "environment.x0_mean"),
-            x0_var=_as_float(params.get("x0_var", 0.0), "environment.x0_var"),
-            var_ex=_as_float(params.get("var_ex", 0.0), "environment.var_ex"),
-            var_ey=_as_float(params.get("var_ey", 0.0), "environment.var_ey"),
-            rng=rng,
-        )
+        p = read_params(params, self.PARAMS, "environment", ("beta", "gamma", "x0_mean"))
+        self.env = LinearAggregateEnv.create(rng=rng, **p)
 
     def respond(self, a: Forecast) -> PointForecast:
         if not isinstance(a, PointForecast):
@@ -196,15 +154,11 @@ class _LinearEnv:
 
 class _NonatomicEnv:
     kind = "point"
+    PARAMS = {"phi": as_float, "chi": as_float, "delta": as_float, "x": as_float, "grid_n": as_int}
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
-        self.pop = NonatomicPopulation(
-            phi=_as_float(_need(params, "phi", "environment"), "environment.phi"),
-            chi=_as_float(_need(params, "chi", "environment"), "environment.chi"),
-            delta=_as_float(_need(params, "delta", "environment"), "environment.delta"),
-            x=_as_float(_need(params, "x", "environment"), "environment.x"),
-            grid_n=_as_int(params.get("grid_n", 401), "environment.grid_n"),
-        )
+        p = read_params(params, self.PARAMS, "environment", ("phi", "chi", "delta", "x"))
+        self.pop = NonatomicPopulation(**p)
         self.last_mean = math.nan
 
     def respond(self, a: Forecast) -> PointForecast:
@@ -223,21 +177,28 @@ class _NonatomicEnv:
         return out
 
 
-def build_game(params: Mapping[str, object]) -> FiniteCongestionGame | BayesianCongestionGame:
+def build_game(
+    params: Mapping[str, object], section: str = "environment"
+) -> FiniteCongestionGame | BayesianCongestionGame:
+    """The object under "game", else the players/slots/slot_k table; section prefixes errors."""
     if "game" in params:
         game = params["game"]
         if not isinstance(game, (FiniteCongestionGame, BayesianCongestionGame)):
-            raise InvalidConfigError("environment.game: not a congestion game object")
+            raise InvalidConfigError(f"{section}.game: not a congestion game object")
         return game
-    n = _as_int(_need(params, "players", "environment"), "environment.players")
-    d = _as_int(_need(params, "slots", "environment"), "environment.slots")
+    size = read_params(params, {"players": as_int, "slots": as_int}, section, ("players", "slots"))
+    n, d = size["players"], size["slots"]
     rows = []
     for k in range(d):
-        row = _as_floats(_need(params, f"slot_{k}", "environment"), f"environment.slot_{k}")
+        key = f"slot_{k}"
+        row = read_params(params, {key: as_floats}, section, (key,))[key]
         if len(row) != n:
-            raise InvalidConfigError(f"environment.slot_{k}: expected {n} utilities, got {len(row)}")
+            raise InvalidConfigError(f"{section}.{key}: expected {n} utilities, got {len(row)}")
         rows.append(row)
-    return FiniteCongestionGame(n=n, d=d, utility=tuple(rows))
+    try:
+        return FiniteCongestionGame(n=n, d=d, utility=tuple(rows))
+    except InvalidParameterError as exc:
+        raise InvalidConfigError(f"{section}: {exc}") from None
 
 
 class _FiniteGameEnv:
@@ -292,7 +253,7 @@ class _FiniteGameEnv:
             if self.bayesian:
                 strategy = tuple(
                     tuple(
-                        bayes_best_response(self.game, i, theta, a)
+                        best_response(i, self.game, a, theta)
                         for theta in range(len(self.game.type_probs[i]))
                     )
                     for i in range(self.game.n)
@@ -315,163 +276,11 @@ class _FiniteGameEnv:
         return out
 
 
-_ENVS = {
+ENVS = {
     "linear": _LinearEnv,
     "nonatomic": _NonatomicEnv,
     "finite-game": _FiniteGameEnv,
 }
-
-
-# --- policy adapters ------------------------------------------------------------
-
-
-class _ExpodampPolicy:
-    def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
-        alpha = _as_float(_need(params, "alpha", "policy"), "policy.alpha")
-        initial = _as_floats(params.get("initial", (0.0,)), "policy.initial")
-        self.state = policies.ExpodampState(a=PointForecast(initial), alpha=alpha)
-
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        if y_prev is None:
-            return self.state.a
-        return policies.expodamp_step(self.state, y_prev.values)
-
-    def summary(self) -> dict[str, object]:
-        return {}
-
-
-class _AveragePolicy:
-    def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
-        prior = _as_floats(params.get("prior", (0.0,)), "policy.prior")
-        self.state = policies.AverageState(prior=PointForecast(prior))
-
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        if y_prev is None:
-            return self.state.prior
-        return policies.average_step(self.state, y_prev.values)
-
-    def summary(self) -> dict[str, object]:
-        return {}
-
-
-class _NaivePolicy:
-    def __init__(self, params: Mapping[str, object], rng: np.random.Generator, kind: str):
-        if kind == "profile":
-            profile = _as_profile(
-                _need(params, "initial_profile", "policy"), "policy.initial_profile"
-            )
-            self.initial: Forecast = DiscreteDistribution.dirac(profile)
-        else:
-            self.initial = PointForecast(
-                _as_floats(_need(params, "initial", "policy"), "policy.initial")
-            )
-
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        if y_prev is None:
-            return self.initial
-        return policies.naive_step(y_prev)
-
-    def summary(self) -> dict[str, object]:
-        return {}
-
-
-class _KalmanPolicy:
-    def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
-        self.state, a0 = policies.kalman_init(
-            beta=_as_float(_need(params, "beta", "policy"), "policy.beta"),
-            gamma=_as_float(_need(params, "gamma", "policy"), "policy.gamma"),
-            var_ex=_as_float(params.get("var_ex", 0.0), "policy.var_ex"),
-            var_ey=_as_float(params.get("var_ey", 0.0), "policy.var_ey"),
-            x0_mean=_as_float(_need(params, "x0_mean", "policy"), "policy.x0_mean"),
-            x0_var=_as_float(params.get("x0_var", 0.0), "policy.x0_var"),
-        )
-        self.a_prev = a0
-
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        if y_prev is not None:
-            self.a_prev = policies.kalman_step(self.state, self.a_prev, y_prev.scalar)
-        return PointForecast((self.a_prev,))
-
-    def summary(self) -> dict[str, object]:
-        return {"x_mean": self.state.x_mean, "x_var": self.state.x_var}
-
-
-class _EmpiricalPolicy:
-    def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
-        profile = _as_profile(
-            _need(params, "initial_profile", "policy"), "policy.initial_profile"
-        )
-        self.state = policies.EmpiricalDistributionState(
-            prior=DiscreteDistribution.dirac(profile)
-        )
-
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        if y_prev is None:
-            return self.state.prior
-        return policies.empirical_step(self.state, y_prev)
-
-    def summary(self) -> dict[str, object]:
-        return {}
-
-
-class _PartpredPolicy:
-    def __init__(
-        self,
-        params: Mapping[str, object],
-        rng: np.random.Generator,
-        game: FiniteCongestionGame | BayesianCongestionGame,
-    ):
-        update = params.get("update", "congestion")
-        if update not in policies.UPDATE_FNS:
-            raise InvalidConfigError(
-                f"policy.update: {update!r} is not one of {sorted(policies.UPDATE_FNS)}"
-            )
-        if update == "congestion" and isinstance(game, BayesianCongestionGame):
-            raise InvalidConfigError(
-                "policy.update: the congestion update needs a complete-information game"
-            )
-        candidates = list(analysis.candidate_set(game))
-        initial_index = params.get("initial_index")
-        self.state = policies.PartpredState(
-            candidates=candidates,
-            r=_as_int(_need(params, "r", "policy"), "policy.r"),
-            update_fn=policies.UPDATE_FNS[update],
-            rng=rng,
-            initial_index=None if initial_index is None else _as_int(initial_index, "policy.initial_index"),
-        )
-
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        return policies.partpred_step(self.state, w, y_prev)
-
-    def summary(self) -> dict[str, object]:
-        return {
-            "converged": {str(w): s.converged for w, s in self.state.per_w.items()},
-            "exploration_used": self.state.exploration_used_anywhere(),
-        }
-
-
-def _build_policy(config: SimConfig, rng: np.random.Generator, env) -> object:
-    name = config.policy
-    allowed = POLICIES_BY_SETTING[config.setting]
-    if name not in allowed:
-        raise InvalidConfigError(
-            f"policy.name: {name!r} is not valid for setting {config.setting!r}; "
-            f"valid names: {', '.join(allowed)}"
-        )
-    params = config.policy_params
-    if name == "expodamp":
-        return _ExpodampPolicy(params, rng)
-    if name == "average":
-        return _AveragePolicy(params, rng)
-    if name == "naive":
-        return _NaivePolicy(params, rng, env.kind)
-    if name == "kalman":
-        return _KalmanPolicy(params, rng)
-    if name == "empirical":
-        return _EmpiricalPolicy(params, rng)
-    if name == "partpred":
-        return _PartpredPolicy(params, rng, env.game)
-    raise InvalidConfigError(f"policy.name: unknown policy {name!r}")
 
 
 def _validate(config: SimConfig) -> None:
@@ -479,13 +288,31 @@ def _validate(config: SimConfig) -> None:
         raise InvalidConfigError(
             f"run.setting: {config.setting!r} is not one of {', '.join(SETTINGS)}"
         )
-    if config.policy not in {n for names in POLICIES_BY_SETTING.values() for n in names}:
-        valid = sorted({n for names in POLICIES_BY_SETTING.values() for n in names})
+    if config.policy not in policies.POLICIES:
         raise InvalidConfigError(
-            f"policy.name: unknown policy {config.policy!r}; valid names: {', '.join(valid)}"
+            f"policy.name: unknown policy {config.policy!r}; "
+            f"valid names: {', '.join(sorted(policies.POLICIES))}"
+        )
+    allowed = POLICIES_BY_SETTING[config.setting]
+    if config.policy not in allowed:
+        raise InvalidConfigError(
+            f"policy.name: {config.policy!r} is not valid for setting {config.setting!r}; "
+            f"valid names: {', '.join(allowed)}"
         )
     if config.stages < 1:
         raise InvalidConfigError("run.stages: need at least one stage")
+    if config.seed < 0:
+        raise InvalidConfigError(f"run.seed: expected a nonnegative integer, got {config.seed}")
+
+
+def _start(config: SimConfig, run_index: int):
+    """The environment and policy of one run, each with its own generator."""
+    _validate(config)
+    seq = np.random.SeedSequence(entropy=(config.seed, run_index))
+    env_seed, policy_seed = seq.spawn(2)
+    env = ENVS[config.setting](config.env_params, np.random.default_rng(env_seed))
+    policy_cls = policies.POLICIES[config.policy]
+    return env, policy_cls.from_params(config.policy_params, np.random.default_rng(policy_seed), env)
 
 
 def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
@@ -494,11 +321,7 @@ def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
     The policy is asked for its forecast strictly before the environment
     responds, and only ever sees observations from earlier stages.
     """
-    _validate(config)
-    seq = np.random.SeedSequence(entropy=(config.seed, run_index))
-    env_seed, policy_seed = seq.spawn(2)
-    env = _ENVS[config.setting](config.env_params, np.random.default_rng(env_seed))
-    policy = _build_policy(config, np.random.default_rng(policy_seed), env)
+    env, policy = _start(config, run_index)
     loss_names = config.losses()
 
     records = []
@@ -514,11 +337,7 @@ def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
 
 def policy_summary(config: SimConfig, run_index: int = 0) -> dict[str, object]:
     """Re-run and report the policy's final internal flags (cheap, deterministic)."""
-    _validate(config)
-    seq = np.random.SeedSequence(entropy=(config.seed, run_index))
-    env_seed, policy_seed = seq.spawn(2)
-    env = _ENVS[config.setting](config.env_params, np.random.default_rng(env_seed))
-    policy = _build_policy(config, np.random.default_rng(policy_seed), env)
+    env, policy = _start(config, run_index)
     y_prev: object = None
     for t in range(config.stages):
         a = policy.forecast(config.covariate, y_prev)
@@ -572,7 +391,10 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
         if all(v == vals[0] for v in vals):
             variances[name] = 0.0  # identical replications, exactly zero spread
         else:
-            variances[name] = math.fsum((v - means[name]) ** 2 for v in vals) / n_runs
+            try:
+                variances[name] = math.fsum((v - means[name]) ** 2 for v in vals) / n_runs
+            except OverflowError:  # a spread beyond the float range
+                variances[name] = math.inf
     sf_fraction = sf_hits / n_runs if config.setting == "finite-game" else None
     return MonteCarloSummary(
         n_runs=n_runs,
@@ -581,6 +403,11 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
         self_fulfilling_fraction=sf_fraction,
         final_forecasts=tuple(finals),
     )
+
+
+# Point policies that replay supports, with the key of their opening forecast,
+# which defaults to zeros of the observation width.
+REPLAY_OPENING = {"average": "prior", "expodamp": "initial", "naive": "initial"}
 
 
 def replay(
@@ -597,27 +424,20 @@ def replay(
     """
     if len(observations) == 0:
         raise InvalidConfigError("replay: empty observation stream")
-    width = len(observations[0])
-    params = dict(policy_params)
-    if policy_name == "expodamp":
-        params.setdefault("initial", tuple(0.0 for _ in range(width)))
-        adapter: object = _ExpodampPolicy(params, np.random.default_rng(0))
-    elif policy_name == "average":
-        params.setdefault("prior", tuple(0.0 for _ in range(width)))
-        adapter = _AveragePolicy(params, np.random.default_rng(0))
-    elif policy_name == "naive":
-        params.setdefault("initial", tuple(0.0 for _ in range(width)))
-        adapter = _NaivePolicy(params, np.random.default_rng(0), "point")
-    else:
+    if policy_name not in REPLAY_OPENING:
         raise InvalidConfigError(
-            f"replay: policy {policy_name!r} not supported; valid names: average, expodamp, naive"
+            f"replay: policy {policy_name!r} not supported; "
+            f"valid names: {', '.join(REPLAY_OPENING)}"
         )
+    width = len(observations[0])
+    params = {REPLAY_OPENING[policy_name]: (0.0,) * width, **policy_params}
+    policy = policies.POLICIES[policy_name].from_params(params, np.random.default_rng(0), None)
     records = []
     y_prev: PointForecast | None = None
     for t, row in enumerate(observations):
         if len(row) != width:
             raise InvalidConfigError(f"replay: row {t} has {len(row)} cells, expected {width}")
-        a = adapter.forecast(covariate, y_prev)
+        a = policy.forecast(covariate, y_prev)
         y = PointForecast(tuple(float(v) for v in row))
         losses = {"point_pred": point_pred_loss(a, y.values)}
         records.append(StageRecord(t=t, w=covariate, a=a, y=y, losses=losses))

@@ -181,31 +181,9 @@ def _own_view_count(profile: JointProfile, i: int, slot: int) -> int:
     return sum(1 for j, c in enumerate(profile.actions) if j != i and c == slot) + 1
 
 
-def best_response(i: int, game: FiniteCongestionGame, belief: DiscreteDistribution) -> int:
-    """Slot maximizing expected utility under the announced profile distribution.
-
-    Player i's own entry in each believed profile is ignored; ties break to
-    the lowest slot index.
-    """
-    best_slot = 0
-    best_eu = -math.inf
-    for k in range(game.d):
-        eu = math.fsum(
-            p * game.u(k, _own_view_count(c, i, k)) for c, p in belief.items()
-        )
-        if eu > best_eu:
-            best_slot, best_eu = k, eu
-    return best_slot
-
-
 def play_profile(game: FiniteCongestionGame, forecast: DiscreteDistribution) -> JointProfile:
     """Joint outcome when every player simultaneously best-responds to the forecast."""
     return JointProfile(tuple(best_response(i, game, forecast) for i in range(game.n)))
-
-
-def profile_response(game: FiniteCongestionGame, forecast: DiscreteDistribution) -> DiscreteDistribution:
-    """Exact conditional outcome distribution: deterministic here, so a Dirac."""
-    return DiscreteDistribution.dirac(play_profile(game, forecast))
 
 
 @dataclass(frozen=True)
@@ -250,15 +228,23 @@ class BayesianCongestionGame:
             yield combo, prob
 
 
-def bayes_best_response(
-    game: BayesianCongestionGame, i: int, theta: int, belief: DiscreteDistribution
+def best_response(
+    i: int,
+    game: FiniteCongestionGame | BayesianCongestionGame,
+    belief: DiscreteDistribution,
+    theta: int = 0,
 ) -> int:
+    """Slot maximizing expected utility under the announced profile distribution.
+
+    In a Bayesian game the utilities are those of player i with type theta.
+    Player i's own entry in each believed profile is ignored; ties break to
+    the lowest slot index.
+    """
+    rows = game.utility[i][theta] if isinstance(game, BayesianCongestionGame) else game.utility
     best_slot = 0
     best_eu = -math.inf
-    for k in range(game.d):
-        eu = math.fsum(
-            p * game.u(i, theta, k, _own_view_count(c, i, k)) for c, p in belief.items()
-        )
+    for k, row in enumerate(rows):
+        eu = math.fsum(p * row[_own_view_count(c, i, k) - 1] for c, p in belief.items())
         if eu > best_eu:
             best_slot, best_eu = k, eu
     return best_slot
@@ -269,7 +255,7 @@ def bayes_play_profile(
 ) -> JointProfile:
     """Joint outcome for a given type realization, everyone trusting the forecast."""
     return JointProfile(
-        tuple(bayes_best_response(game, i, types[i], forecast) for i in range(game.n))
+        tuple(best_response(i, game, forecast, types[i]) for i in range(game.n))
     )
 
 

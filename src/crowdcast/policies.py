@@ -1,7 +1,18 @@
 """Assistant policies: forecast update rules and the candidate-search policy.
 
-Each policy is a small mutable state plus a step function. A state instance
-belongs to a single run; distinct instances are independent.
+Each policy is one mutable state class with one interface:
+
+- ``PARAMS`` maps each config key the policy reads to its converter;
+- ``from_params(params, rng, env)`` builds the state for one run from those
+  keys, the run's policy generator and the environment adapter;
+- ``forecast(w, y_prev)`` announces the forecast for covariate w, given the
+  previous stage's outcome (None on the first stage);
+- ``summary()`` reports the final internal flags.
+
+``POLICIES`` maps each policy name to its class. The update rules themselves
+are step functions (``expodamp_step``, ``kalman_step``, ...) that ``forecast``
+calls. A state instance belongs to a single run; distinct instances are
+independent.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
+from . import analysis
 from .core import (
     DegenerateGainError,
     DiscreteDistribution,
@@ -23,20 +35,44 @@ from .core import (
     NeedsInitialForecastError,
     PointForecast,
     ShapeError,
+    as_float,
+    as_floats,
+    as_int,
+    as_slots,
     euclidean_distance,
+    read_params,
 )
 
 
+class _NoFlags:
+    """Base of the policies that have no internal flags to report."""
+
+    def summary(self) -> dict[str, object]:
+        return {}
+
+
 @dataclass
-class ExpodampState:
+class ExpodampState(_NoFlags):
     """Damped forecast update: move the forecast a fraction alpha toward the outcome."""
 
     a: PointForecast
     alpha: float
 
+    PARAMS = {"alpha": as_float, "initial": as_floats}
+
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
             raise InvalidParameterError("alpha must be finite")
+
+    @classmethod
+    def from_params(cls, params, rng, env) -> "ExpodampState":
+        p = read_params(params, cls.PARAMS, "policy", ("alpha",))
+        return cls(a=PointForecast(p.get("initial", (0.0,))), alpha=p["alpha"])
+
+    def forecast(self, w: str, y_prev: object) -> Forecast:
+        if y_prev is None:
+            return self.a
+        return expodamp_step(self, y_prev.values)
 
 
 def expodamp_step(state: ExpodampState, y_prev: Sequence[float]) -> PointForecast:
@@ -66,13 +102,54 @@ def naive_step(y_prev: object) -> Forecast:
     raise ShapeError(f"cannot forecast from observation {y_prev!r}")
 
 
+def _opening_profile(params: Mapping[str, object], env) -> DiscreteDistribution:
+    """Dirac on initial_profile; more slots than players would overrun the utility table."""
+    slots = read_params(params, {"initial_profile": as_slots}, "policy", ("initial_profile",))
+    if len(slots["initial_profile"]) > env.game.n:
+        raise InvalidConfigError(f"policy.initial_profile: more slots than the {env.game.n} players")
+    return DiscreteDistribution.dirac(JointProfile(slots["initial_profile"]))
+
+
 @dataclass
-class AverageState:
+class NaiveState(_NoFlags):
+    """Yesterday's outcome as today's forecast, after a configured opening forecast."""
+
+    initial: Forecast
+
+    PARAMS = {"initial": as_floats, "initial_profile": as_slots}
+
+    @classmethod
+    def from_params(cls, params, rng, env) -> "NaiveState":
+        if env is not None and env.kind == "profile":
+            return cls(_opening_profile(params, env))
+        p = read_params(params, cls.PARAMS, "policy", ("initial",))
+        return cls(PointForecast(p["initial"]))
+
+    def forecast(self, w: str, y_prev: object) -> Forecast:
+        if y_prev is None:
+            return self.initial
+        return naive_step(y_prev)
+
+
+@dataclass
+class AverageState(_NoFlags):
     """Running-mean forecast; a configured prior is used before two observations exist."""
 
     prior: PointForecast
     sum: list[float] = field(default_factory=list)
     count: int = 0
+
+    PARAMS = {"prior": as_floats}
+
+    @classmethod
+    def from_params(cls, params, rng, env) -> "AverageState":
+        p = read_params(params, cls.PARAMS, "policy")
+        return cls(prior=PointForecast(p.get("prior", (0.0,))))
+
+    def forecast(self, w: str, y_prev: object) -> Forecast:
+        if y_prev is None:
+            return self.prior
+        return average_step(self, y_prev.values)
 
 
 def average_step(state: AverageState, y_prev: Sequence[float]) -> PointForecast:
@@ -90,11 +167,22 @@ def average_step(state: AverageState, y_prev: Sequence[float]) -> PointForecast:
 
 
 @dataclass
-class EmpiricalDistributionState:
+class EmpiricalDistributionState(_NoFlags):
     """I.i.d.-style baseline: forecast the empirical distribution of past outcomes."""
 
     prior: DiscreteDistribution
     counts: Counter = field(default_factory=Counter)
+
+    PARAMS = {"initial_profile": as_slots}
+
+    @classmethod
+    def from_params(cls, params, rng, env) -> "EmpiricalDistributionState":
+        return cls(prior=_opening_profile(params, env))
+
+    def forecast(self, w: str, y_prev: object) -> Forecast:
+        if y_prev is None:
+            return self.prior
+        return empirical_step(self, y_prev)
 
 
 def empirical_step(state: EmpiricalDistributionState, c_prev: JointProfile) -> DiscreteDistribution:
@@ -116,6 +204,9 @@ class KalmanPolicyState:
     var_ey: float
     x_mean: float
     x_var: float
+    a_prev: float = math.nan  # the forecast announced last
+
+    PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
 
     def __post_init__(self) -> None:
         if self.beta == 1.0:
@@ -124,6 +215,21 @@ class KalmanPolicyState:
             raise InvalidParameterError("gamma must be nonzero")
         if self.var_ex < 0.0 or self.var_ey < 0.0 or self.x_var < 0.0:
             raise InvalidParameterError("variances must be nonnegative")
+
+    @classmethod
+    def from_params(cls, params, rng, env) -> "KalmanPolicyState":
+        p = read_params(params, cls.PARAMS, "policy", ("beta", "gamma", "x0_mean"))
+        state, a0 = kalman_init(**{"var_ex": 0.0, "var_ey": 0.0, "x0_var": 0.0, **p})
+        state.a_prev = a0
+        return state
+
+    def forecast(self, w: str, y_prev: object) -> Forecast:
+        if y_prev is not None:
+            self.a_prev = kalman_step(self, self.a_prev, y_prev.scalar)
+        return PointForecast((self.a_prev,))
+
+    def summary(self) -> dict[str, object]:
+        return {"x_mean": self.x_mean, "x_var": self.x_var}
 
 
 def kalman_init(
@@ -256,6 +362,12 @@ UPDATE_FNS: dict[str, UpdateFn] = {
 }
 
 
+def _as_update(value: object, path: str) -> str:
+    if value not in UPDATE_FNS:
+        raise InvalidConfigError(f"{path}: {value!r} is not one of {sorted(UPDATE_FNS)}")
+    return value  # type: ignore[return-value]
+
+
 @dataclass
 class _CovariateSearch:
     """Per-covariate bookkeeping of the candidate search."""
@@ -294,9 +406,36 @@ class PartpredState:
     per_w: dict[Hashable, _CovariateSearch] = field(default_factory=dict)
     last_w: Hashable | None = None
 
+    PARAMS = {"r": as_int, "update": _as_update, "initial_index": as_int}
+
     def __post_init__(self) -> None:
         if self.r < 1:
             raise InvalidConfigError("partpred.r: group length must be at least 1")
+
+    @classmethod
+    def from_params(cls, params, rng, env) -> "PartpredState":
+        p = read_params(params, cls.PARAMS, "policy", ("r",))
+        update = p.get("update", "congestion")
+        if update == "congestion" and env.bayesian:
+            raise InvalidConfigError(
+                "policy.update: the congestion update needs a complete-information game"
+            )
+        return cls(
+            candidates=list(analysis.candidate_set(env.game)),
+            r=p["r"],
+            update_fn=UPDATE_FNS[update],
+            rng=rng,
+            initial_index=p.get("initial_index"),
+        )
+
+    def forecast(self, w: str, y_prev: object) -> Forecast:
+        return partpred_step(self, w, y_prev)
+
+    def summary(self) -> dict[str, object]:
+        return {
+            "converged": {str(w): s.converged for w, s in self.per_w.items()},
+            "exploration_used": self.exploration_used_anywhere(),
+        }
 
     def _candidates_for(self, w: Hashable) -> list[DiscreteDistribution]:
         if isinstance(self.candidates, Mapping):
@@ -313,6 +452,10 @@ class PartpredState:
             cands = self._candidates_for(w)
             if self.initial_index is not None:
                 start = self.initial_index
+                if not -len(cands) <= start < len(cands):
+                    raise InvalidConfigError(
+                        f"partpred.initial_index: {start} is outside the {len(cands)} candidates"
+                    )
             else:
                 start = int(self.rng.integers(len(cands)))
             search = _CovariateSearch(
@@ -404,3 +547,13 @@ def partpred_step(
 
     search.update_log.append(search.current)
     return search.candidates[search.current]
+
+
+POLICIES = {
+    "expodamp": ExpodampState,
+    "average": AverageState,
+    "naive": NaiveState,
+    "kalman": KalmanPolicyState,
+    "empirical": EmpiricalDistributionState,
+    "partpred": PartpredState,
+}

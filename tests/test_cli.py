@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +257,154 @@ class TestMonteCarloCommand:
             "monte-carlo", "--config", str(CONFIG_DIR / "linear_damped.ini"), "--runs", "2",
         ]) == 0
         capsys.readouterr()
+
+
+LINEAR_RUN = "[run]\nsetting = linear\nstages = 5\nseed = 1\n"
+LINEAR_ENV = "[environment]\nbeta = 0.5\ngamma = 0.5\nx0_mean = 0.4\n"
+GAME_RUN = "[run]\nsetting = finite-game\nstages = 5\nseed = 1\n[policy]\nname = partpred\nr = 2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("simulate", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = abc\n" + LINEAR_ENV,
+         "policy.alpha"),
+        ("simulate", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\ninitial = 0.0 zz\n"
+         + LINEAR_ENV, "policy.initial"),
+        ("simulate", GAME_RUN.replace("r = 2", "r = 2.5")
+         + "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -2\n", "policy.r"),
+        ("simulate", GAME_RUN + "[environment]\nplayers = 2\nslots = 2\nslot_0 = 1 x\nslot_1 = -1 -2\n",
+         "environment.slot_0"),
+        ("analyze", "[game]\nplayers = 2\nslots = 2\nslot_0 = 1 x\nslot_1 = -1 -2\n", "game.slot_0"),
+        ("evaluate", "[evaluate]\npolicies = expodamp\n[expodamp]\nalpha = abc\n", "expodamp.alpha"),
+        ("simulate", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\n"
+         + LINEAR_ENV.replace("beta = 0.5", "beta = nan"), "environment.beta"),
+        ("simulate", LINEAR_RUN.replace("linear", "nonatomic") + "[policy]\nname = expodamp\nalpha = 0.5\n"
+         "[environment]\nphi = inf\nchi = 0.1\ndelta = 0.2\nx = 0.5\n", "environment.phi"),
+        ("simulate", LINEAR_RUN + "[policy]\nname = kalman\nbeta = 0.5\ngamma = 0.5\nx0_mean = -inf\n"
+         + LINEAR_ENV, "policy.x0_mean"),
+    ],
+    ids=[
+        "alpha-abc", "initial-zz", "r-fraction", "simulate-slot-x", "analyze-slot-x",
+        "evaluate-alpha-abc", "beta-nan", "phi-inf", "x0_mean-minus-inf",
+    ],
+)
+def test_malformed_value_exits_2_naming_file_and_field(tmp_path, capsys, command, text, field):
+    config = write(tmp_path / "bad.ini", text)
+    argv = [command, "--config", config]
+    if command == "evaluate":
+        argv += ["--data", write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")]
+    assert main(argv) == 2
+    assert f"{config}: {field}: expected" in capsys.readouterr().err
+
+
+GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -2\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("simulate", GAME_RUN + "initial_index = 99\n" + GAME_ENV, "partpred.initial_index"),
+        ("simulate", GAME_RUN.replace("partpred\nr = 2", "empirical\ninitial_profile = 0 1 0")
+         + GAME_ENV, "policy.initial_profile"),
+        ("simulate", LINEAR_RUN.replace("seed = 1", "seed = -1")
+         + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV, "run.seed"),
+        ("evaluate", "[evaluate]\npolicies =\n", "evaluate.policies"),
+    ],
+    ids=["initial-index-out-of-range", "profile-longer-than-players", "negative-seed", "no-policies"],
+)
+def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
+    argv = [command, "--config", write(tmp_path / "bad.ini", text)]
+    if command == "evaluate":
+        argv += ["--data", write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")]
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_spread_beyond_float_range_reads_inf(tmp_path, capsys):
+    config = write(
+        tmp_path / "wide.ini",
+        LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\n"
+        "[environment]\nbeta = 0.5\ngamma = 0.5\nx0_mean = 0.0\nx0_var = 1e300\n",
+    )
+    assert main(["monte-carlo", "--config", config, "--runs", "3"]) == 0
+    assert "var=inf" in capsys.readouterr().out
+
+
+# --- golden outputs ---------------------------------------------------------------
+
+# The two configs of acceptance criterion 10.
+NOISY_KALMAN_INI = (
+    "[run]\nsetting = linear\nstages = 40\nseed = 11\n"
+    "[policy]\nname = kalman\nbeta = 0.4\ngamma = 0.8\nvar_ex = 0.3\n"
+    "var_ey = 0.5\nx0_mean = 0.6\nx0_var = 0.4\n"
+    "[environment]\nbeta = 0.4\ngamma = 0.8\nx0_mean = 0.6\nx0_var = 0.4\n"
+    "var_ex = 0.3\nvar_ey = 0.5\n"
+)
+SEARCH_INI = (
+    "[run]\nsetting = finite-game\nstages = 25\nseed = 4\n"
+    "[policy]\nname = partpred\nr = 2\nupdate = congestion\n"
+    "[environment]\nplayers = 3\nslots = 3\n"
+    "slot_0 = -1 -2 -3\nslot_1 = -1 -2 -3\nslot_2 = -1 -2 -3\n"
+)
+
+# sha256 of each output, recorded before the policy, parameter and game
+# parsing code was consolidated; temp paths in stdout read as "<tmp>".
+GOLDEN = {
+    "simulate linear_damped csv": "f24ada6ece4cb35158f93e6e6f56b567339c25933704b9754c71bcbf427de93c",
+    "simulate linear_damped plot": "e922e39472dbff9d4a0c44fd84c8dc9a8d078164a94bed19e259ca4e74b3f6de",
+    "simulate linear_damped stdout": "fee13c6a2dc1cfd1c978da5e5d13dcc30daeb9f623f201ac8ecc8b87d2304b72",
+    "simulate flapping_naive csv": "ca09b992c5117f45bf6648ee5481da7fc475aeb81087c964b942115b7574719f",
+    "simulate flapping_naive plot": "865c7d9abba15befa36b04b3e3e81a59ce13f25829710d0bd84d889c0282c94c",
+    "simulate flapping_naive stdout": "421a17b03d3990b06daa6eda23a15e26decbf3c6550eff5c0ed21866cdb0e66f",
+    "simulate partpred_search csv": "31b420771d63dca5b2f7dae5771c4fa9dff87272a9aee573d5c8b1ae659a7aff",
+    "simulate partpred_search plot": "decdfd9c2209fc1232361a7c02dd06342ac909d663d7001aa7f1688fdd559d4a",
+    "simulate partpred_search stdout": "2b4922181f65556718a25390d437e375febb37152016e0cf66b8f685c658dd18",
+    "simulate noisy_kalman csv": "7eddf6e9129b140029c21101084080d7c407f2dae458322a2e72c68b017ce1fe",
+    "simulate noisy_kalman plot": "cf04f24ffc0d4d1ac24f296632d7ca625cbc9848c8a66128d732a66c872d0a52",
+    "simulate noisy_kalman stdout": "80fe7a92b1ccbfeae338eb09be3b0db73401a9d5294be4a3145cb5f4a8102afb",
+    "simulate search csv": "b8b5bff38bb299dbd5a4948293c23d9482eecb1815cd829d8de318e717f7af86",
+    "simulate search plot": "ec90cd81cd14ab2095caee9da54ab38fff9cabf5efa076e6f35c8ad668d4a48c",
+    "simulate search stdout": "a7bb3dbbd9a6c1fc59395a4d989dd7827f76255f8b30cdb7cfa8429a51d1fde1",
+    "analyze crowding_game stdout": "1ab9498dbd78857d4d4336cd3b7481fdde4620306a412565b992831f1dfc61cd",
+    "monte-carlo partpred_search stdout": "5f82a2eb7d49cf2f6313849ae9400ebd51ff41f2d6cc2490e0594da765f496fb",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_digests(tmp_path: Path, capsys) -> dict[str, str]:
+    """Run every pinned command and digest its files and normalised stdout."""
+    sims = {
+        "linear_damped": str(CONFIG_DIR / "linear_damped.ini"),
+        "flapping_naive": str(CONFIG_DIR / "flapping_naive.ini"),
+        "partpred_search": str(CONFIG_DIR / "partpred_search.ini"),
+        "noisy_kalman": write(tmp_path / "noisy.ini", NOISY_KALMAN_INI),
+        "search": write(tmp_path / "search.ini", SEARCH_INI),
+    }
+    commands = {
+        "analyze crowding_game": ["analyze", "--config", str(CONFIG_DIR / "crowding_game.ini")],
+        "monte-carlo partpred_search": [
+            "monte-carlo", "--config", sims["partpred_search"], "--runs", "3",
+        ],
+    }
+    digests = {}
+    capsys.readouterr()
+    for name, config in sims.items():
+        out, plot = tmp_path / f"{name}.csv", tmp_path / f"{name}.plot.csv"
+        argv = ["simulate", "--config", config, "--out", str(out), "--emit-plot-data", str(plot)]
+        assert main(argv) == 0, name
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+        digests[f"simulate {name} csv"] = _sha(out.read_bytes())
+        digests[f"simulate {name} plot"] = _sha(plot.read_bytes())
+        digests[f"simulate {name} stdout"] = _sha(stdout.encode("utf-8"))
+    for name, argv in commands.items():
+        assert main(argv) == 0, name
+        digests[f"{name} stdout"] = _sha(capsys.readouterr().out.encode("utf-8"))
+    return digests
+
+
+def test_outputs_match_golden_digests(tmp_path, capsys):
+    assert golden_digests(tmp_path, capsys) == GOLDEN

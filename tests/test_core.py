@@ -108,6 +108,9 @@ class TestPointPredLoss:
         with pytest.raises(ShapeError):
             point_pred_loss(PointForecast((1.0,)), (1.0, 2.0))
 
+    def test_square_beyond_float_range_is_inf(self):
+        assert point_pred_loss(PointForecast((1e200,)), (0.0,)) == math.inf
+
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
