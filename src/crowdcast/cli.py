@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import analysis
 from .core import (
@@ -126,6 +126,15 @@ def _check_keys(path: str, section: str, present: Sequence[str], allowed: set[st
             )
 
 
+def _read_section(
+    path: str, parser: configparser.ConfigParser, section: str, spec: Mapping,
+    extra: Sequence[str] = (),
+) -> dict[str, object]:
+    """Convert the keys of [section] that spec names; a key outside spec and extra is an error."""
+    _check_keys(path, section, list(parser[section].keys()), {*spec, *extra})
+    return read_params(parser[section], spec, f"{path}: {section}")
+
+
 def _game_section(path: str, parser: configparser.ConfigParser, section: str) -> FiniteCongestionGame:
     if not parser.has_section(section):
         raise InvalidConfigError(f"{path}: missing [{section}] section")
@@ -156,23 +165,17 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
     if run.get("losses") is not None:
         losses = tuple(run.get("losses").replace(",", " ").split())
 
-    pol = parser["policy"]
-    name = pol.get("name")
+    name = parser["policy"].get("name")
     if name not in POLICIES:
         raise InvalidConfigError(
             f"{path}: policy.name {name!r} unknown; valid names: {', '.join(sorted(POLICIES))}"
         )
-    spec = POLICIES[name].PARAMS
-    _check_keys(path, "policy", list(pol.keys()), {"name", *spec})
-    policy_params = read_params(pol, spec, f"{path}: policy")
+    policy_params = _read_section(path, parser, "policy", POLICIES[name].PARAMS, extra=("name",))
 
     if setting == "finite-game":
         env_params: dict[str, object] = {"game": _game_section(path, parser, "environment")}
     else:
-        env = parser["environment"]
-        spec = ENVS[setting].PARAMS
-        _check_keys(path, "environment", list(env.keys()), set(spec))
-        env_params = read_params(env, spec, f"{path}: environment")
+        env_params = _read_section(path, parser, "environment", ENVS[setting].PARAMS)
 
     return SimConfig(
         setting=setting,
@@ -195,19 +198,13 @@ def _cell(value: float | int) -> str:
     return repr(float(value))
 
 
-def _forecast_cells(a: object) -> list[str]:
-    if isinstance(a, PointForecast):
-        return [_cell(v) for v in a.values]
-    if isinstance(a, DiscreteDistribution):
-        mode = a.mode()
-        return [_cell(int(v)) for v in mode.actions]
-    raise InvalidConfigError(f"cannot serialize forecast {a!r}")
-
-
-def _observation_cells(y: object) -> list[str]:
-    if isinstance(y, PointForecast):
-        return [_cell(v) for v in y.values]
-    return [_cell(int(v)) for v in y.actions]
+def _cells(x: object) -> list[str]:
+    """A point forecast or observation verbatim; a profile, or a distribution's mode, as slots."""
+    if isinstance(x, PointForecast):
+        return [_cell(v) for v in x.values]
+    if isinstance(x, DiscreteDistribution):
+        x = x.mode()
+    return [_cell(int(v)) for v in x.actions]
 
 
 def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
@@ -217,8 +214,8 @@ def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
     point forecasts and observations are written verbatim.
     """
     first = traj.records[0]
-    a_width = len(_forecast_cells(first.a))
-    y_width = len(_observation_cells(first.y))
+    a_width = len(_cells(first.a))
+    y_width = len(_cells(first.y))
     header = (
         ["t"]
         + [f"a_{i}" for i in range(a_width)]
@@ -228,8 +225,8 @@ def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
     lines = [",".join(header)]
     for rec in traj.records:
         cells = [str(rec.t)]
-        cells += _forecast_cells(rec.a)
-        cells += _observation_cells(rec.y)
+        cells += _cells(rec.a)
+        cells += _cells(rec.y)
         cells += [_cell(rec.losses[name]) for name in loss_names]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -239,9 +236,9 @@ def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
     """Tidy long format (t, series, value) for external plotting."""
     lines = ["t,series,value"]
     for rec in traj.records:
-        for i, cell in enumerate(_forecast_cells(rec.a)):
+        for i, cell in enumerate(_cells(rec.a)):
             lines.append(f"{rec.t},a_{i},{cell}")
-        for i, cell in enumerate(_observation_cells(rec.y)):
+        for i, cell in enumerate(_cells(rec.y)):
             lines.append(f"{rec.t},y_{i},{cell}")
         for name in loss_names:
             lines.append(f"{rec.t},{name},{_cell(rec.losses[name])}")
@@ -264,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     final = traj.final
     print(f"setting={config.setting} policy={config.policy} stages={config.stages} seed={config.seed}")
     print(f"config_hash={traj.config_hash}")
-    print("final_forecast=" + " ".join(_forecast_cells(final.a)))
+    print("final_forecast=" + " ".join(_cells(final.a)))
     print(
         "final_losses="
         + " ".join(f"{name}={final.losses[name]:.9g}" for name in loss_names)
@@ -299,8 +296,7 @@ def _evaluate_specs(path: str | None) -> list[tuple[str, dict[str, object]]]:
         if parser.has_section(name):
             # replayed observations are point vectors, so profile keys do not apply
             spec = {k: v for k, v in POLICIES[name].PARAMS.items() if k != "initial_profile"}
-            _check_keys(path, name, list(parser[name].keys()), set(spec))
-            params = read_params(parser[name], spec, f"{path}: {name}")
+            params = _read_section(path, parser, name, spec)
         specs.append((name, params))
     return specs
 
@@ -340,14 +336,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report = analysis.prediction_equilibrium_report(game)
     except TooLargeError as exc:
         raise TooLargeError(f"{args.config}: {exc}") from None
-    candidates = analysis.candidate_set(game)
     print(f"game: {game.n} players, {game.d} slots")
     strict = set(report.strict_nash)
     ne_cells = [
         f"{c.actions}{' [strict]' if c in strict else ''}" for c in report.nash
     ]
     print(f"nash equilibria ({len(ne_cells)}): " + (", ".join(ne_cells) or "none"))
-    print(f"candidate set size: {len(candidates)}")
+    # one Dirac candidate per profile, and the report has one finding per profile
+    print(f"candidate set size: {len(report.findings)}")
     sf_cells = [str(c.actions) for c in report.self_fulfilling]
     print(f"self-fulfilling candidates ({len(sf_cells)}): " + (", ".join(sf_cells) or "none"))
     if report.ok:

@@ -46,21 +46,6 @@ from .environments import (
     play_profile,
 )
 
-SETTINGS = ("linear", "nonatomic", "finite-game")
-
-POLICIES_BY_SETTING = {
-    "linear": ("expodamp", "average", "naive", "kalman"),
-    "nonatomic": ("expodamp", "average", "naive"),
-    "finite-game": ("naive", "empirical", "partpred"),
-}
-
-DEFAULT_LOSSES = {
-    "linear": ("point_pred",),
-    "nonatomic": ("point_pred",),
-    "finite-game": ("pred", "nash"),
-}
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one run bit-exactly."""
@@ -77,7 +62,7 @@ class SimConfig:
     def losses(self) -> tuple[str, ...]:
         if self.log_losses is not None:
             return self.log_losses
-        return DEFAULT_LOSSES[self.setting]
+        return ENVS[self.setting].LOSSES
 
 
 @dataclass(frozen=True)
@@ -127,10 +112,14 @@ def closed_form_trajectory(
 
 
 # --- environment adapters ------------------------------------------------------
+# Each adapter describes its setting: the policies it accepts, the keys it reads and
+# its LOSSES, each a method that run_dynamic calls with the forecast after respond.
 
 
 class _LinearEnv:
     kind = "point"
+    POLICIES = ("expodamp", "average", "naive", "kalman")
+    LOSSES = ("point_pred",)
     PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
@@ -142,19 +131,15 @@ class _LinearEnv:
             raise InvalidConfigError("linear setting needs point forecasts")
         return PointForecast((linear_step(self.env, a.scalar),))
 
-    def stage_losses(self, names: Sequence[str], a: Forecast, y: object) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name in names:
-            if name == "point_pred":
-                out[name] = point_pred_loss(a, (self.env.last_mean,))
-            else:
-                raise InvalidConfigError(f"run.losses: {name!r} not available in the linear setting")
-        return out
+    def point_pred(self, a: PointForecast) -> float:
+        return point_pred_loss(a, (self.env.last_mean,))
 
 
 class _NonatomicEnv:
     kind = "point"
-    PARAMS = {"phi": as_float, "chi": as_float, "delta": as_float, "x": as_float, "grid_n": as_int}
+    POLICIES = ("expodamp", "average", "naive")
+    LOSSES = ("point_pred",)
+    PARAMS = {"phi": as_float, "chi": as_float, "delta": as_float, "x": as_float}
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
         p = read_params(params, self.PARAMS, "environment", ("phi", "chi", "delta", "x"))
@@ -167,14 +152,8 @@ class _NonatomicEnv:
         self.last_mean = nonatomic_response_closed(self.pop, a.scalar)
         return PointForecast((self.last_mean,))
 
-    def stage_losses(self, names: Sequence[str], a: Forecast, y: object) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name in names:
-            if name == "point_pred":
-                out[name] = point_pred_loss(a, (self.last_mean,))
-            else:
-                raise InvalidConfigError(f"run.losses: {name!r} not available in the nonatomic setting")
-        return out
+    def point_pred(self, a: PointForecast) -> float:
+        return point_pred_loss(a, (self.last_mean,))
 
 
 def build_game(
@@ -203,6 +182,8 @@ def build_game(
 
 class _FiniteGameEnv:
     kind = "profile"
+    POLICIES = ("naive", "empirical", "partpred")
+    LOSSES = ("pred", "nash")
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
         self.game = build_game(params)
@@ -247,7 +228,10 @@ class _FiniteGameEnv:
         )
         return self._play_map(a)[types]
 
-    def _nash_loss(self, a: DiscreteDistribution) -> float:
+    def pred(self, a: DiscreteDistribution) -> float:
+        return tv_distance(a, self.exact_response(a))
+
+    def nash(self, a: DiscreteDistribution) -> float:
         loss = self._nash_cache.get(a)
         if loss is None:
             if self.bayesian:
@@ -264,23 +248,14 @@ class _FiniteGameEnv:
             self._nash_cache[a] = loss
         return loss
 
-    def stage_losses(self, names: Sequence[str], a: Forecast, y: object) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for name in names:
-            if name == "pred":
-                out[name] = tv_distance(a, self.exact_response(a))
-            elif name == "nash":
-                out[name] = self._nash_loss(a)
-            else:
-                raise InvalidConfigError(f"run.losses: {name!r} not available in the finite-game setting")
-        return out
-
 
 ENVS = {
     "linear": _LinearEnv,
     "nonatomic": _NonatomicEnv,
     "finite-game": _FiniteGameEnv,
 }
+
+SETTINGS = tuple(ENVS)
 
 
 def _validate(config: SimConfig) -> None:
@@ -293,12 +268,17 @@ def _validate(config: SimConfig) -> None:
             f"policy.name: unknown policy {config.policy!r}; "
             f"valid names: {', '.join(sorted(policies.POLICIES))}"
         )
-    allowed = POLICIES_BY_SETTING[config.setting]
-    if config.policy not in allowed:
+    env_cls = ENVS[config.setting]
+    if config.policy not in env_cls.POLICIES:
         raise InvalidConfigError(
             f"policy.name: {config.policy!r} is not valid for setting {config.setting!r}; "
-            f"valid names: {', '.join(allowed)}"
+            f"valid names: {', '.join(env_cls.POLICIES)}"
         )
+    for name in config.losses():
+        if name not in env_cls.LOSSES:
+            raise InvalidConfigError(
+                f"run.losses: {name!r} not available in the {config.setting} setting"
+            )
     if config.stages < 1:
         raise InvalidConfigError("run.stages: need at least one stage")
     if config.seed < 0:
@@ -322,14 +302,16 @@ def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
     responds, and only ever sees observations from earlier stages.
     """
     env, policy = _start(config, run_index)
-    loss_names = config.losses()
+    loss_fns = [(name, getattr(env, name)) for name in config.losses()]
 
     records = []
     y_prev: object = None
     for t in range(config.stages):
         a = policy.forecast(config.covariate, y_prev)
         y = env.respond(a)
-        losses = env.stage_losses(loss_names, a, y)
+        losses = {}
+        for name, loss_fn in loss_fns:
+            losses[name] = loss_fn(a)
         records.append(StageRecord(t=t, w=config.covariate, a=a, y=y, losses=losses))
         y_prev = y
     return Trajectory(tuple(records), config_hash(config))

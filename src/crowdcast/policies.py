@@ -103,11 +103,18 @@ def naive_step(y_prev: object) -> Forecast:
 
 
 def _opening_profile(params: Mapping[str, object], env) -> DiscreteDistribution:
-    """Dirac on initial_profile; more slots than players would overrun the utility table."""
-    slots = read_params(params, {"initial_profile": as_slots}, "policy", ("initial_profile",))
-    if len(slots["initial_profile"]) > env.game.n:
-        raise InvalidConfigError(f"policy.initial_profile: more slots than the {env.game.n} players")
-    return DiscreteDistribution.dirac(JointProfile(slots["initial_profile"]))
+    """Dirac on initial_profile, which must name one of the game's slots for each player."""
+    spec = {"initial_profile": as_slots}
+    slots = read_params(params, spec, "policy", ("initial_profile",))["initial_profile"]
+    game = env.game
+    if len(slots) == game.n and min(slots) >= 0:
+        profile = JointProfile(slots)
+        if profile.within_slots(game.d):
+            return DiscreteDistribution.dirac(profile)
+    raise InvalidConfigError(
+        f"policy.initial_profile: expected one slot in 0..{game.d - 1} "
+        f"for each of the {game.n} players, got {' '.join(map(str, slots))!r}"
+    )
 
 
 @dataclass
@@ -263,7 +270,7 @@ def kalman_step(state: KalmanPolicyState, a_prev: float, y_prev: float) -> float
     return a_next
 
 
-UpdateFn = Callable[[DiscreteDistribution, DiscreteDistribution, Hashable], DiscreteDistribution]
+UpdateFn = Callable[[DiscreteDistribution, DiscreteDistribution], DiscreteDistribution]
 
 
 def update_congestion(a: JointProfile, a_prime: JointProfile) -> JointProfile:
@@ -342,7 +349,7 @@ def update_general(
 
 
 def congestion_update_fn(
-    a: DiscreteDistribution, a_prime: DiscreteDistribution, w: Hashable
+    a: DiscreteDistribution, a_prime: DiscreteDistribution
 ) -> DiscreteDistribution:
     """Apply the profile-level collision-free update to Dirac candidates."""
     if len(a.support) != 1 or len(a_prime.support) != 1:
@@ -350,15 +357,9 @@ def congestion_update_fn(
     return DiscreteDistribution.dirac(update_congestion(a.support[0], a_prime.support[0]))
 
 
-def general_update_fn(
-    a: DiscreteDistribution, a_prime: DiscreteDistribution, w: Hashable
-) -> DiscreteDistribution:
-    return update_general(a, a_prime)
-
-
 UPDATE_FNS: dict[str, UpdateFn] = {
     "congestion": congestion_update_fn,
-    "general": general_update_fn,
+    "general": update_general,
 }
 
 
@@ -379,13 +380,6 @@ class _CovariateSearch:
     converged: bool = False
     exploration_used: bool = False
     update_log: list[int] = field(default_factory=list)
-
-    @property
-    def empirical(self) -> list[DiscreteDistribution | None]:
-        out: list[DiscreteDistribution | None] = []
-        for tally in self.tallies:
-            out.append(DiscreteDistribution.from_mapping(tally) if tally else None)
-        return out
 
 
 @dataclass
@@ -468,25 +462,13 @@ class PartpredState:
             self.per_w[w] = search
         return search
 
-    def converged_for(self, w: Hashable) -> bool:
-        search = self.per_w.get(w)
-        return search.converged if search is not None else False
-
     def exploration_used_anywhere(self) -> bool:
         return any(s.exploration_used for s in self.per_w.values())
 
 
-def _nearest_candidate(
-    candidates: Sequence[DiscreteDistribution], target: DiscreteDistribution
-) -> int:
-    """Index of the candidate closest to target; ties go to the lowest index."""
-    best_idx = 0
-    best_dist = math.inf
-    for idx, cand in enumerate(candidates):
-        dist = euclidean_distance(cand, target)
-        if dist < best_dist:
-            best_idx, best_dist = idx, dist
-    return best_idx
+def _argmin(dists: Mapping[int, float]) -> int:
+    """Index of the smallest distance; ties go to the lowest index."""
+    return min(dists, key=dists.__getitem__)
 
 
 def _candidate_index(
@@ -517,24 +499,20 @@ def partpred_step(
 
     # A full group of r outcomes has been observed under the current candidate.
     empirical = DiscreteDistribution.from_mapping(search.tallies[search.current])
-    nearest = search.candidates[_nearest_candidate(search.candidates, empirical)]
-    updated = state.update_fn(search.candidates[search.current], nearest, w)
+    nearest = search.candidates[_argmin({
+        idx: euclidean_distance(cand, empirical) for idx, cand in enumerate(search.candidates)
+    })]
+    updated = state.update_fn(search.candidates[search.current], nearest)
     new_idx = _candidate_index(search.candidates, updated)
 
     if new_idx == search.current:
         search.converged = True
     elif all(c >= state.r for c in search.announce_counts):
-        per_candidate = search.empirical
-        best_idx = 0
-        best_dist = math.inf
-        for idx, cand in enumerate(search.candidates):
-            emp = per_candidate[idx]
-            if emp is None:
-                continue
-            dist = euclidean_distance(cand, emp)
-            if dist < best_dist:
-                best_idx, best_dist = idx, dist
-        search.current = best_idx
+        search.current = _argmin({
+            idx: euclidean_distance(cand, DiscreteDistribution.from_mapping(tally))
+            for idx, (cand, tally) in enumerate(zip(search.candidates, search.tallies))
+            if tally
+        })
         search.converged = True
     elif search.announce_counts[new_idx] >= state.r:
         unused = [idx for idx, c in enumerate(search.announce_counts) if c == 0]

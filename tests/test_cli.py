@@ -307,11 +307,18 @@ GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -
         ("simulate", GAME_RUN + "initial_index = 99\n" + GAME_ENV, "partpred.initial_index"),
         ("simulate", GAME_RUN.replace("partpred\nr = 2", "empirical\ninitial_profile = 0 1 0")
          + GAME_ENV, "policy.initial_profile"),
+        ("simulate", GAME_RUN.replace("partpred\nr = 2", "empirical\ninitial_profile = 0")
+         + GAME_ENV, "policy.initial_profile"),
+        ("simulate", GAME_RUN.replace("partpred\nr = 2", "naive\ninitial_profile = 0 5")
+         + GAME_ENV, "policy.initial_profile"),
         ("simulate", LINEAR_RUN.replace("seed = 1", "seed = -1")
          + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV, "run.seed"),
         ("evaluate", "[evaluate]\npolicies =\n", "evaluate.policies"),
     ],
-    ids=["initial-index-out-of-range", "profile-longer-than-players", "negative-seed", "no-policies"],
+    ids=[
+        "initial-index-out-of-range", "profile-longer-than-players", "profile-shorter-than-players",
+        "profile-slot-out-of-range", "negative-seed", "no-policies",
+    ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
     argv = [command, "--config", write(tmp_path / "bad.ini", text)]
@@ -319,6 +326,19 @@ def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, com
         argv += ["--data", write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")]
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        LINEAR_RUN + "losses = nash\n[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV,
+        GAME_RUN.replace("[policy]", "losses = point_pred\n[policy]") + GAME_ENV,
+    ],
+    ids=["nash-on-linear", "point_pred-on-finite-game"],
+)
+def test_unknown_loss_exits_2_naming_run_losses(tmp_path, capsys, text):
+    assert main(["simulate", "--config", write(tmp_path / "bad.ini", text)]) == 2
+    assert "run.losses" in capsys.readouterr().err
 
 
 def test_spread_beyond_float_range_reads_inf(tmp_path, capsys):
@@ -347,6 +367,24 @@ SEARCH_INI = (
     "[environment]\nplayers = 3\nslots = 3\n"
     "slot_0 = -1 -2 -3\nslot_1 = -1 -2 -3\nslot_2 = -1 -2 -3\n"
 )
+EVALUATE_INI = (
+    "[evaluate]\npolicies = expodamp, average naive\n"
+    "[expodamp]\nalpha = 0.35\ninitial = 5 5 5\n"
+    "[average]\nprior = 1 2 3\n"
+    "[naive]\ninitial = 4 4 4\n"
+)
+
+
+def synthetic_days(n_days: int = 30, seed: int = 5) -> str:
+    """A random-walk day matrix over three slots, in canonical CSV form."""
+    rng = np.random.default_rng(seed)
+    level = rng.uniform(5, 15, size=3)
+    rows = []
+    for _ in range(n_days):
+        level = np.maximum(level + rng.normal(0, 1.0, size=3), 0.0)
+        rows.append(tuple(float(v) for v in level))
+    return serialize_day_csv(DayMatrix(slot_labels=("s0", "s1", "s2"), rows=tuple(rows)))
+
 
 # sha256 of each output, recorded before the policy, parameter and game
 # parsing code was consolidated; temp paths in stdout read as "<tmp>".
@@ -368,6 +406,9 @@ GOLDEN = {
     "simulate search stdout": "a7bb3dbbd9a6c1fc59395a4d989dd7827f76255f8b30cdb7cfa8429a51d1fde1",
     "analyze crowding_game stdout": "1ab9498dbd78857d4d4336cd3b7481fdde4620306a412565b992831f1dfc61cd",
     "monte-carlo partpred_search stdout": "5f82a2eb7d49cf2f6313849ae9400ebd51ff41f2d6cc2490e0594da765f496fb",
+    # recorded before the settings were described on their environment classes
+    "evaluate synthetic csv": "e9258a29b3513bf122dcd19f68ecc2f2d40281a5b02a10bd714e4545ec3fd179",
+    "evaluate synthetic stdout": "191389b9e68210d1d5e33b3455b503b95845d4e60b644c4dd599841e0665c099",
 }
 
 
@@ -403,6 +444,15 @@ def golden_digests(tmp_path: Path, capsys) -> dict[str, str]:
     for name, argv in commands.items():
         assert main(argv) == 0, name
         digests[f"{name} stdout"] = _sha(capsys.readouterr().out.encode("utf-8"))
+    table = tmp_path / "evaluate.csv"
+    argv = [
+        "evaluate", "--data", write(tmp_path / "days.csv", synthetic_days()),
+        "--config", write(tmp_path / "eval.ini", EVALUATE_INI), "--out", str(table),
+    ]
+    assert main(argv) == 0, "evaluate"
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    digests["evaluate synthetic csv"] = _sha(table.read_bytes())
+    digests["evaluate synthetic stdout"] = _sha(stdout.encode("utf-8"))
     return digests
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdcast.cli import main
-from crowdcast.engine import POLICIES_BY_SETTING, SETTINGS
+from crowdcast.engine import ENVS, SETTINGS
 from crowdcast.policies import POLICIES
 
 BAD_TOKENS = (
@@ -44,7 +44,7 @@ def profile(n: int) -> st.SearchStrategy[str]:
 @st.composite
 def sim_config(draw) -> dict[str, dict[str, str]]:
     setting = draw(st.sampled_from(SETTINGS))
-    name = draw(st.sampled_from(POLICIES_BY_SETTING[setting]))
+    name = draw(st.sampled_from(ENVS[setting].POLICIES))
     run = {
         "setting": setting,
         "stages": str(draw(st.integers(1, 12))),
@@ -71,8 +71,6 @@ def sim_config(draw) -> dict[str, dict[str, str]]:
             "delta": repr(draw(st.floats(0.01, 0.49))),
             "x": repr(draw(st.floats(0.0, 1.0))),
         }
-        if draw(st.booleans()):
-            env["grid_n"] = str(draw(st.integers(100, 300)))
 
     width = draw(st.integers(1, 2))
     candidates = {

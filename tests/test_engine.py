@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,13 @@ class TestConfigValidation:
         )
         with pytest.raises(InvalidConfigError, match="complete-information"):
             run_dynamic(cfg)
+
+    def test_unknown_loss_rejected_before_any_stage(self):
+        cfg = linear_config(gamma=0.5, alpha=1.0, a0=0.1, x=0.4, stages=5)
+        cfg = dataclasses.replace(cfg, log_losses=("point_pred", "nash"))
+        # policy_summary runs the stages but computes no loss
+        with pytest.raises(InvalidConfigError, match="run.losses: 'nash' not available in the linear"):
+            policy_summary(cfg)
 
 
 class TestMonteCarlo:

@@ -21,7 +21,6 @@ from crowdcast.policies import (
     congestion_update_fn,
     empirical_step,
     expodamp_step,
-    general_update_fn,
     kalman_init,
     kalman_step,
     naive_step,
@@ -268,7 +267,7 @@ class TestPartpred:
 
     def test_exploration_branch_and_forced_convergence(self):
         cands = [D.dirac(J((k,))) for k in range(3)]
-        state = single_covariate_state(cands, r=1, update_fn=general_update_fn, initial_index=0)
+        state = single_covariate_state(cands, r=1, update_fn=update_general, initial_index=0)
         assert partpred_step(state, "w", None) == cands[0]
         # outcome (1,) pulls the update to candidate 1, untried so far
         assert partpred_step(state, "w", J((1,))) == cands[1]
@@ -284,7 +283,7 @@ class TestPartpred:
 
     def test_single_candidate_converges_after_first_group(self):
         cands = [D.dirac(J((0,)))]
-        state = single_covariate_state(cands, r=2, update_fn=general_update_fn, initial_index=0)
+        state = single_covariate_state(cands, r=2, update_fn=update_general, initial_index=0)
         partpred_step(state, "w", None)
         partpred_step(state, "w", J((0,)))
         assert not state.per_w["w"].converged
