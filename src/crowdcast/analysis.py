@@ -294,7 +294,7 @@ def prediction_equilibrium_report(game: FiniteCongestionGame) -> CorrespondenceR
     for c in game.profiles():
         sf = play_profile(game, DiscreteDistribution.dirac(c)) == c
         ne = is_nash(game, c)
-        strict = is_nash(game, c, strict=True)
+        strict = ne and is_nash(game, c, strict=True)
         findings.append(ProfileFinding(c, ne, strict, sf))
         if sf and not ne:
             sf_not_ne.append(c)

@@ -35,6 +35,7 @@ from .engine import (
     SimConfig,
     Trajectory,
     build_game,
+    game_table_keys,
     monte_carlo,
     policy_summary,
     replay,
@@ -140,8 +141,7 @@ def _game_section(path: str, parser: configparser.ConfigParser, section: str) ->
         raise InvalidConfigError(f"{path}: missing [{section}] section")
     sec = parser[section]
     game = build_game(sec, f"{path}: {section}")
-    allowed = {"players", "slots"} | {f"slot_{k}" for k in range(game.d)}
-    _check_keys(path, section, list(sec.keys()), allowed)
+    _check_keys(path, section, list(sec.keys()), game_table_keys(game.d))
     return game
 
 
@@ -250,7 +250,10 @@ def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
-    traj = run_dynamic(config)
+    try:
+        traj = run_dynamic(config)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{args.config}: {exc}") from None
     loss_names = config.losses()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -360,7 +363,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_monte_carlo(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
-    summary = monte_carlo(config, n_runs=args.runs)
+    if args.runs < 1:
+        raise InvalidConfigError(f"--runs: need at least one run, got {args.runs}")
+    try:
+        summary = monte_carlo(config, n_runs=args.runs)
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{args.config}: {exc}") from None
     print(f"runs={summary.n_runs}")
     for name in sorted(summary.loss_means):
         print(

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -180,6 +180,11 @@ def build_game(
         raise InvalidConfigError(f"{section}: {exc}") from None
 
 
+def game_table_keys(d: int) -> set[str]:
+    """Keys of a players/slots/slot_k game table with d slots."""
+    return {"players", "slots", *(f"slot_{k}" for k in range(d))}
+
+
 class _FiniteGameEnv:
     kind = "profile"
     POLICIES = ("naive", "empirical", "partpred")
@@ -258,6 +263,16 @@ ENVS = {
 SETTINGS = tuple(ENVS)
 
 
+def _reject_unknown_keys(
+    section: str, params: Mapping[str, object], allowed: Collection[str]
+) -> None:
+    for key in params:
+        if key not in allowed:
+            raise InvalidConfigError(
+                f"{section}.{key}: unknown parameter; allowed: {', '.join(sorted(allowed))}"
+            )
+
+
 def _validate(config: SimConfig) -> None:
     if config.setting not in SETTINGS:
         raise InvalidConfigError(
@@ -279,6 +294,15 @@ def _validate(config: SimConfig) -> None:
             raise InvalidConfigError(
                 f"run.losses: {name!r} not available in the {config.setting} setting"
             )
+    _reject_unknown_keys("policy", config.policy_params, policies.POLICIES[config.policy].PARAMS)
+    if env_cls is not _FiniteGameEnv:
+        env_keys = env_cls.PARAMS
+    elif "game" in config.env_params:
+        env_keys = {"game"}
+    else:
+        slots = read_params(config.env_params, {"slots": as_int}, "environment", ("slots",))
+        env_keys = game_table_keys(slots["slots"])
+    _reject_unknown_keys("environment", config.env_params, env_keys)
     if config.stages < 1:
         raise InvalidConfigError("run.stages: need at least one stage")
     if config.seed < 0:

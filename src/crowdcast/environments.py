@@ -176,14 +176,44 @@ def crowding_game(n: int = 2, d: int = 2) -> FiniteCongestionGame:
     return FiniteCongestionGame(n=n, d=d, utility=tuple(row for _ in range(d)))
 
 
-def _own_view_count(profile: JointProfile, i: int, slot: int) -> int:
-    """Occupants player i expects at a slot if joining it: the others there plus itself."""
-    return sum(1 for j, c in enumerate(profile.actions) if j != i and c == slot) + 1
+_SlotView = tuple[tuple[int, ...], list[int], float]  # actions, slot counts, probability
+
+
+def _slot_views(belief: DiscreteDistribution, n: int, d: int) -> list[_SlotView]:
+    """Each believed profile with its slot occupancy, counted once for all players."""
+    views = []
+    for c, p in belief.items():
+        actions = c.actions
+        if len(actions) != n or max(actions) >= d:
+            raise ShapeError(
+                f"believed profile {actions} must give one slot in 0..{d - 1} to each of {n} players"
+            )
+        counts = [0] * d
+        for k in actions:
+            counts[k] += 1
+        views.append((actions, counts, p))
+    return views
+
+
+def _best_slot(i: int, rows: tuple[tuple[float, ...], ...], views: list[_SlotView]) -> int:
+    """Slot maximizing player i's expected utility; ties break to the lowest slot.
+
+    Joining slot k, player i expects the others there plus itself, so it
+    reads row[others]: the count at k, less one if i's believed entry is k.
+    """
+    best_slot = 0
+    best_eu = -math.inf
+    for k, row in enumerate(rows):
+        eu = math.fsum(p * row[counts[k] - (actions[i] == k)] for actions, counts, p in views)
+        if eu > best_eu:
+            best_slot, best_eu = k, eu
+    return best_slot
 
 
 def play_profile(game: FiniteCongestionGame, forecast: DiscreteDistribution) -> JointProfile:
     """Joint outcome when every player simultaneously best-responds to the forecast."""
-    return JointProfile(tuple(best_response(i, game, forecast) for i in range(game.n)))
+    views = _slot_views(forecast, game.n, game.d)
+    return JointProfile(tuple(_best_slot(i, game.utility, views) for i in range(game.n)))
 
 
 @dataclass(frozen=True)
@@ -241,21 +271,16 @@ def best_response(
     the lowest slot index.
     """
     rows = game.utility[i][theta] if isinstance(game, BayesianCongestionGame) else game.utility
-    best_slot = 0
-    best_eu = -math.inf
-    for k, row in enumerate(rows):
-        eu = math.fsum(p * row[_own_view_count(c, i, k) - 1] for c, p in belief.items())
-        if eu > best_eu:
-            best_slot, best_eu = k, eu
-    return best_slot
+    return _best_slot(i, rows, _slot_views(belief, game.n, game.d))
 
 
 def bayes_play_profile(
     game: BayesianCongestionGame, forecast: DiscreteDistribution, types: tuple[int, ...]
 ) -> JointProfile:
     """Joint outcome for a given type realization, everyone trusting the forecast."""
+    views = _slot_views(forecast, game.n, game.d)
     return JointProfile(
-        tuple(best_response(i, game, forecast, types[i]) for i in range(game.n))
+        tuple(_best_slot(i, game.utility[i][types[i]], views) for i in range(game.n))
     )
 
 

@@ -404,7 +404,7 @@ class PartpredState:
 
     def __post_init__(self) -> None:
         if self.r < 1:
-            raise InvalidConfigError("partpred.r: group length must be at least 1")
+            raise InvalidConfigError("policy.r: group length must be at least 1")
 
     @classmethod
     def from_params(cls, params, rng, env) -> "PartpredState":
@@ -448,7 +448,7 @@ class PartpredState:
                 start = self.initial_index
                 if not -len(cands) <= start < len(cands):
                     raise InvalidConfigError(
-                        f"partpred.initial_index: {start} is outside the {len(cands)} candidates"
+                        f"policy.initial_index: {start} is outside the {len(cands)} candidates"
                     )
             else:
                 start = int(self.rng.integers(len(cands)))

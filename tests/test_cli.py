@@ -304,7 +304,8 @@ GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -
 @pytest.mark.parametrize(
     "command, text, field",
     [
-        ("simulate", GAME_RUN + "initial_index = 99\n" + GAME_ENV, "partpred.initial_index"),
+        ("simulate", GAME_RUN + "initial_index = 99\n" + GAME_ENV, "policy.initial_index"),
+        ("simulate", GAME_RUN.replace("r = 2", "r = 0") + GAME_ENV, "policy.r"),
         ("simulate", GAME_RUN.replace("partpred\nr = 2", "empirical\ninitial_profile = 0 1 0")
          + GAME_ENV, "policy.initial_profile"),
         ("simulate", GAME_RUN.replace("partpred\nr = 2", "empirical\ninitial_profile = 0")
@@ -316,16 +317,17 @@ GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -
         ("evaluate", "[evaluate]\npolicies =\n", "evaluate.policies"),
     ],
     ids=[
-        "initial-index-out-of-range", "profile-longer-than-players", "profile-shorter-than-players",
+        "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
         "profile-slot-out-of-range", "negative-seed", "no-policies",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
-    argv = [command, "--config", write(tmp_path / "bad.ini", text)]
+    config = write(tmp_path / "bad.ini", text)
+    argv = [command, "--config", config]
     if command == "evaluate":
         argv += ["--data", write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")]
     assert main(argv) == 2
-    assert field in capsys.readouterr().err
+    assert f"{config}: {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -337,8 +339,19 @@ def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, com
     ids=["nash-on-linear", "point_pred-on-finite-game"],
 )
 def test_unknown_loss_exits_2_naming_run_losses(tmp_path, capsys, text):
-    assert main(["simulate", "--config", write(tmp_path / "bad.ini", text)]) == 2
-    assert "run.losses" in capsys.readouterr().err
+    config = write(tmp_path / "bad.ini", text)
+    assert main(["simulate", "--config", config]) == 2
+    assert f"{config}: run.losses" in capsys.readouterr().err
+    assert main(["monte-carlo", "--config", config, "--runs", "2"]) == 2
+    assert f"{config}: run.losses" in capsys.readouterr().err
+
+
+def test_runs_below_one_exits_2_naming_the_flag(tmp_path, capsys):
+    config = write(
+        tmp_path / "ok.ini", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV
+    )
+    assert main(["monte-carlo", "--config", config, "--runs", "0"]) == 2
+    assert "error: --runs: need at least one run" in capsys.readouterr().err
 
 
 def test_spread_beyond_float_range_reads_inf(tmp_path, capsys):

@@ -218,6 +218,48 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="complete-information"):
             run_dynamic(cfg)
 
+    TABLE = {"players": 2, "slots": 2, "slot_0": (-1.0, -2.0), "slot_1": (-1.0, -2.0)}
+
+    @pytest.mark.parametrize(
+        "setting, policy, policy_params, env_params, message",
+        [
+            ("linear", "expodamp", {"alpha": 0.5, "alpah": 9},
+             {"beta": 0.5, "gamma": 0.5, "x0_mean": 0.4},
+             "policy.alpah: unknown parameter; allowed: alpha, initial"),
+            ("linear", "expodamp", {"alpha": 0.5},
+             {"beta": 0.5, "gamma": 0.5, "x0_mean": 0.4, "x0var": 5.0},
+             "environment.x0var: unknown parameter; allowed: beta, gamma"),
+            ("nonatomic", "naive", {"initial": (0.2,)},
+             {"phi": -0.5, "chi": -0.2, "delta": 0.3, "x": 0.5, "grid_n": 401},
+             "environment.grid_n: unknown parameter; allowed: chi, delta, phi, x"),
+            ("finite-game", "empirical", {"initial_profile": (0, 0), "r": 2},
+             {"game": crowding_game(2, 2)},
+             "policy.r: unknown parameter; allowed: initial_profile"),
+            ("finite-game", "naive", {"initial_profile": (0, 0)},
+             {"game": crowding_game(2, 2), "players": 2},
+             "environment.players: unknown parameter; allowed: game$"),
+            ("finite-game", "naive", {"initial_profile": (0, 0)},
+             {**TABLE, "slot_2": (-1.0, -2.0)},
+             "environment.slot_2: unknown parameter; allowed: players, slot_0, slot_1, slots$"),
+        ],
+        ids=["policy-key", "linear-env-key", "nonatomic-env-key", "finite-game-policy-key",
+             "key-beside-game", "slot-beyond-slots"],
+    )
+    def test_unknown_key_rejected(self, setting, policy, policy_params, env_params, message):
+        cfg = SimConfig(
+            setting=setting, policy=policy, policy_params=policy_params,
+            env_params=env_params, stages=3, seed=0,
+        )
+        with pytest.raises(InvalidConfigError, match=message):
+            run_dynamic(cfg)
+
+    def test_game_table_runs(self):
+        cfg = SimConfig(
+            setting="finite-game", policy="naive", policy_params={"initial_profile": (0, 0)},
+            env_params=self.TABLE, stages=3, seed=0,
+        )
+        assert [rec.y for rec in run_dynamic(cfg)] == [J((1, 1)), J((0, 0)), J((1, 1))]
+
     def test_unknown_loss_rejected_before_any_stage(self):
         cfg = linear_config(gamma=0.5, alpha=1.0, a0=0.1, x=0.4, stages=5)
         cfg = dataclasses.replace(cfg, log_losses=("point_pred", "nash"))

@@ -1,8 +1,12 @@
+import math
+import re
+from itertools import product
+
 import numpy as np
 import pytest
 
 from crowdcast.analysis import enumerate_nash, is_nash
-from crowdcast.core import DiscreteDistribution, InvalidParameterError, JointProfile
+from crowdcast.core import DiscreteDistribution, InvalidParameterError, JointProfile, ShapeError
 from crowdcast.environments import (
     BayesianCongestionGame,
     FiniteCongestionGame,
@@ -141,7 +145,68 @@ class TestBestResponse:
         )
 
 
+def own_view_count(profile, i, slot):
+    """Occupants player i expects at a slot if joining it: the others there plus itself."""
+    return sum(1 for j, c in enumerate(profile.actions) if j != i and c == slot) + 1
+
+
+def reference_best_response(i, game, belief, theta=0):
+    """Per-entry recount of every (slot, believed profile) pair; ties to the lowest slot."""
+    rows = game.utility[i][theta] if isinstance(game, BayesianCongestionGame) else game.utility
+    best_slot, best_eu = 0, -math.inf
+    for k, row in enumerate(rows):
+        eu = math.fsum(p * row[own_view_count(c, i, k) - 1] for c, p in belief.items())
+        if eu > best_eu:
+            best_slot, best_eu = k, eu
+    return best_slot
+
+
+def random_beliefs(game, rng, count):
+    """Beliefs over 1-5 distinct profiles; every other one uniform, so expected counts can tie."""
+    profiles = list(product(range(game.d), repeat=game.n))
+    beliefs = []
+    for b in range(count):
+        size = int(rng.integers(1, min(5, len(profiles)) + 1))
+        picks = rng.choice(len(profiles), size=size, replace=False)
+        weights = np.ones(size) if b % 2 else rng.random(size) + 0.05
+        probs = [float(w) for w in weights / weights.sum()]
+        beliefs.append(D(tuple(J(profiles[k]) for k in picks), tuple(probs)))
+    return beliefs
+
+
+class TestMixedBeliefsMatchReference:
+    FLAT = FiniteCongestionGame(n=2, d=2, utility=((1.0, 1.0), (1.0, 1.0)))
+
+    def test_complete_information_games(self, game_corpus):
+        rng = np.random.default_rng(4401)
+        for game in [*game_corpus, crowding_game(5, 3), self.FLAT]:
+            for belief in random_beliefs(game, rng, 8):
+                expected = tuple(reference_best_response(i, game, belief) for i in range(game.n))
+                assert tuple(best_response(i, game, belief) for i in range(game.n)) == expected
+                assert play_profile(game, belief) == J(expected)
+
+    def test_bayesian_games(self, bayes_corpus):
+        rng = np.random.default_rng(4402)
+        for game in bayes_corpus:
+            for belief in random_beliefs(game, rng, 8):
+                for i in range(game.n):
+                    for theta in range(len(game.type_probs[i])):
+                        assert best_response(i, game, belief, theta) == reference_best_response(
+                            i, game, belief, theta
+                        )
+                for combo, _ in game.type_combos():
+                    expected = tuple(
+                        reference_best_response(i, game, belief, combo[i]) for i in range(game.n)
+                    )
+                    assert bayes_play_profile(game, belief, combo) == J(expected)
+
+
 class TestPlayProfile:
+    @pytest.mark.parametrize("actions", [(0, 5), (0,), (0, 1, 1)])
+    def test_belief_that_does_not_fit_the_game_is_rejected(self, actions):
+        with pytest.raises(ShapeError, match=re.escape(f"believed profile {actions}")):
+            play_profile(crowding_game(2, 2), D.dirac(J(actions)))
+
     def test_overshoot_from_empty_forecast(self):
         game = crowding_game(2, 2)
         assert play_profile(game, D.dirac(J((0, 0)))) == J((1, 1))
