@@ -147,6 +147,8 @@ def _game_section(path: str, parser: configparser.ConfigParser, section: str) ->
 
 def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
     """Parse a [run]/[policy]/[environment] simulation config file."""
+    if seed_override is not None and seed_override < 0:
+        raise InvalidConfigError(f"--seed: expected a nonnegative integer, got {seed_override}")
     parser = _read_ini(path)
     for section in ("run", "policy", "environment"):
         if not parser.has_section(section):

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -185,6 +185,10 @@ def game_table_keys(d: int) -> set[str]:
     return {"players", "slots", *(f"slot_{k}" for k in range(d))}
 
 
+# Bayesian type samples are drawn for this many stages at a time.
+BLOCK = 256
+
+
 class _FiniteGameEnv:
     kind = "profile"
     POLICIES = ("naive", "empirical", "partpred")
@@ -195,11 +199,21 @@ class _FiniteGameEnv:
         self.bayesian = isinstance(self.game, BayesianCongestionGame)
         self.rng = rng
         self._response_cache: dict[DiscreteDistribution, DiscreteDistribution] = {}
-        self._play_cache: dict[DiscreteDistribution, dict[tuple[int, ...], JointProfile]] = {}
+        self._play_cache: dict[DiscreteDistribution, list[JointProfile]] = {}
         self._nash_cache: dict[DiscreteDistribution, float] = {}
         if self.bayesian:
-            # cumulative type priors; inverse-cdf draws keep the stage loop cheap
-            self._type_cums = [np.cumsum(probs) for probs in self.game.type_probs]
+            self._last_a: DiscreteDistribution | None = None
+            self._last_plays: list[JointProfile] = []
+            self._combo_ids: Iterator[int] = iter(())
+            # Per player: cumulative prior, the last type of positive probability
+            # (a draw at or above the rounded-down top of the cdf maps to it) and
+            # the weight of its type in a combination id, which numbers the joint
+            # types in type_combos() order.
+            sizes = [len(probs) for probs in self.game.type_probs]
+            self._type_draws = []
+            for i, probs in enumerate(self.game.type_probs):
+                last = max(k for k, p in enumerate(probs) if p > 0.0)
+                self._type_draws.append((np.cumsum(probs), last, math.prod(sizes[i + 1 :])))
 
     def exact_response(self, a: DiscreteDistribution) -> DiscreteDistribution:
         dist = self._response_cache.get(a)
@@ -211,27 +225,39 @@ class _FiniteGameEnv:
             self._response_cache[a] = dist
         return dist
 
-    def _play_map(self, a: DiscreteDistribution) -> dict[tuple[int, ...], JointProfile]:
-        table = self._play_cache.get(a)
-        if table is None:
-            table = {
-                combo: bayes_play_profile(self.game, a, combo)
-                for combo, _ in self.game.type_combos()
-            }
-            self._play_cache[a] = table
-        return table
+    def _plays(self, a: DiscreteDistribution) -> list[JointProfile]:
+        """The joint outcome of every type combination, indexed by combination id."""
+        plays = self._play_cache.get(a)
+        if plays is None:
+            plays = [bayes_play_profile(self.game, a, types) for types, _ in self.game.type_combos()]
+            self._play_cache[a] = plays
+        return plays
+
+    def _draw_combo_ids(self) -> list[int]:
+        """Combination ids of the next BLOCK stages' types.
+
+        One (BLOCK, n) draw reads the generator's stream exactly as BLOCK
+        draws of n uniforms, one per stage, would.
+        """
+        draws = self.rng.random((BLOCK, self.game.n))
+        ids = np.zeros(BLOCK, dtype=np.int64)
+        for i, (cum, last, weight) in enumerate(self._type_draws):
+            types = np.searchsorted(cum, draws[:, i], side="right")
+            ids += np.minimum(types, last) * weight
+        return ids.tolist()
 
     def respond(self, a: Forecast) -> JointProfile:
         if not isinstance(a, DiscreteDistribution):
             raise InvalidConfigError("finite-game setting needs distribution forecasts")
         if not self.bayesian:
             return self.exact_response(a).support[0]
-        draws = self.rng.random(self.game.n)
-        types = tuple(
-            int(np.searchsorted(cum, u, side="right"))
-            for cum, u in zip(self._type_cums, draws)
-        )
-        return self._play_map(a)[types]
+        if a is not self._last_a:  # partpred repeats one forecast object for r stages
+            self._last_a, self._last_plays = a, self._plays(a)
+        combo_id = next(self._combo_ids, None)
+        if combo_id is None:
+            self._combo_ids = iter(self._draw_combo_ids())
+            combo_id = next(self._combo_ids)
+        return self._last_plays[combo_id]
 
     def pred(self, a: DiscreteDistribution) -> float:
         return tv_distance(a, self.exact_response(a))

@@ -234,13 +234,16 @@ class BayesianCongestionGame:
         if len(self.type_probs) != len(self.utility):
             raise ShapeError("type_probs and utility disagree on the number of players")
         for i, probs in enumerate(self.type_probs):
-            if abs(math.fsum(probs) - 1.0) > 1e-12 or any(p < 0.0 for p in probs):
+            weights_ok = all(p >= 0.0 and math.isfinite(p) for p in probs)
+            if not weights_ok or abs(math.fsum(probs) - 1.0) > 1e-12:
                 raise InvalidParameterError(f"type prior of player {i} is not a distribution")
             if len(self.utility[i]) != len(probs):
                 raise ShapeError(f"player {i}: one utility block per type required")
             for block in self.utility[i]:
                 if len(block) != self.d or any(len(row) != self.n for row in block):
                     raise ShapeError(f"player {i}: utility block must be d x n")
+                if any(not math.isfinite(v) for row in block for v in row):
+                    raise InvalidParameterError(f"player {i}: utilities must be finite")
 
     @property
     def n(self) -> int:

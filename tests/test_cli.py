@@ -354,6 +354,19 @@ def test_runs_below_one_exits_2_naming_the_flag(tmp_path, capsys):
     assert "error: --runs: need at least one run" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["monte-carlo", "--runs", "2"]], ids=["simulate", "monte-carlo"]
+)
+def test_negative_seed_flag_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    config = write(
+        tmp_path / "ok.ini", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV
+    )
+    assert main(argv + ["--config", config, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: --seed: expected a nonnegative integer, got -1" in err
+    assert config not in err
+
+
 def test_spread_beyond_float_range_reads_inf(tmp_path, capsys):
     config = write(
         tmp_path / "wide.ini",

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from crowdcast.core import (
     trajectory_mse,
 )
 from crowdcast.engine import (
+    BLOCK,
     MonteCarloSummary,
     SimConfig,
     closed_form_trajectory,
@@ -19,8 +21,9 @@ from crowdcast.engine import (
     policy_summary,
     replay,
     run_dynamic,
+    _FiniteGameEnv,
 )
-from crowdcast.environments import crowding_game
+from crowdcast.environments import BayesianCongestionGame, bayes_play_profile, crowding_game
 
 D = DiscreteDistribution
 J = JointProfile
@@ -266,6 +269,71 @@ class TestConfigValidation:
         # policy_summary runs the stages but computes no loss
         with pytest.raises(InvalidConfigError, match="run.losses: 'nash' not available in the linear"):
             policy_summary(cfg)
+
+
+def typed_game(*priors, d=3):
+    """Bayesian game where type theta of any player takes slot theta % d, whatever the crowd.
+
+    With no more types than slots the play reveals the types, so a stage that
+    reads the wrong type combination shows.
+    """
+    n = len(priors)
+
+    def block(theta):
+        return tuple(tuple(1.0 if k == theta % d else 0.0 for _ in range(n)) for k in range(d))
+
+    utility = tuple(tuple(block(theta) for theta in range(len(probs))) for probs in priors)
+    return BayesianCongestionGame(d=d, type_probs=priors, utility=utility)
+
+
+def per_stage_reference(game, forecasts, seed):
+    """Each stage's play from its own draw of n uniforms, mapped player by player."""
+    rng = np.random.default_rng(seed)
+    cums = [np.cumsum(probs) for probs in game.type_probs]
+    plays = []
+    for a in forecasts:
+        draws = rng.random(game.n)
+        types = tuple(int(np.searchsorted(cum, u, side="right")) for cum, u in zip(cums, draws))
+        plays.append(bayes_play_profile(game, a, types))
+    return plays
+
+
+def forecast_schedule(game, stages, seed):
+    """Runs of one forecast object, as partpred announces them, some equal but new objects."""
+    rng = np.random.default_rng((seed, stages))
+    pool = [D.dirac(J(c)) for c in product(range(game.d), repeat=game.n)]
+    pool.append(D.from_mapping({pool[0].support[0]: 1.0, pool[-1].support[0]: 3.0}))
+    forecasts = []
+    while len(forecasts) < stages:
+        a = pool[int(rng.integers(len(pool)))]
+        if rng.random() < 0.3:
+            a = D(a.support, a.probs)
+        forecasts.extend([a] * int(rng.integers(1, 6)))
+    return forecasts[:stages]
+
+
+class TestBayesianTypeDraws:
+    @pytest.mark.parametrize("stages", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_block_draws_match_per_stage_draws(self, bayes_corpus, stages):
+        unequal = typed_game((0.7, 0.2, 0.1), (0.25, 0.75))
+        for game in [*bayes_corpus, unequal]:
+            for seed in (0, 1, 2):
+                forecasts = forecast_schedule(game, stages, seed)
+                env = _FiniteGameEnv({"game": game}, np.random.default_rng(seed))
+                plays = [env.respond(a) for a in forecasts]
+                assert plays == per_stage_reference(game, forecasts, seed)
+
+    @pytest.mark.parametrize(
+        "prior", [(0.7, 0.2, 0.1), (0.7, 0.2, 0.1, 0.0)], ids=["last-type", "zero-tail"]
+    )
+    def test_draw_at_top_of_rounded_prior_takes_last_possible_type(self, prior):
+        class TopOfUnitInterval:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        assert np.cumsum(prior)[-1] == np.nextafter(1.0, 0.0)
+        env = _FiniteGameEnv({"game": typed_game(prior, (0.25, 0.75))}, TopOfUnitInterval())
+        assert env.respond(D.dirac(J((0, 0)))) == J((2, 1))
 
 
 class TestMonteCarlo:

@@ -276,3 +276,16 @@ class TestBayesianGame:
     def test_shape_validation(self):
         with pytest.raises(Exception):
             BayesianCongestionGame(d=2, type_probs=((0.5, 0.5),), utility=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_type_probability_rejected(self, bad):
+        game = self.coordination_game()
+        with pytest.raises(InvalidParameterError, match="type prior of player 0"):
+            BayesianCongestionGame(d=2, type_probs=((bad, 0.5), (0.5, 0.5)), utility=game.utility)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_utility_rejected(self, bad):
+        game = self.coordination_game()
+        utility = (game.utility[0], (((bad, -1.0), (1.0, -2.0)), game.utility[1][1]))
+        with pytest.raises(InvalidParameterError, match="player 1: utilities must be finite"):
+            BayesianCongestionGame(d=2, type_probs=game.type_probs, utility=utility)
