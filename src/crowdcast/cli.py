@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .core import (
     DiscreteDistribution,
     EmptyInputError,
     InvalidConfigError,
+    InvalidParameterError,
     ParseError,
     PointForecast,
     TooLargeError,
@@ -88,8 +90,10 @@ def parse_day_csv(path: str) -> DayMatrix:
                 value = float(cell)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: cell {col + 1} is not a number: {cell!r}")
-            if not value >= 0.0:
-                raise ParseError(f"{path}:{lineno}: cell {col + 1} is negative or NaN")
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: cell {col + 1} is not finite: {cell!r}")
+            if value < 0.0:
+                raise ParseError(f"{path}:{lineno}: cell {col + 1} is negative: {cell!r}")
             values.append(value)
         rows.append(tuple(values))
     if not rows:
@@ -203,10 +207,17 @@ def _cell(value: float | int) -> str:
 def _cells(x: object) -> list[str]:
     """A point forecast or observation verbatim; a profile, or a distribution's mode, as slots."""
     if isinstance(x, PointForecast):
-        return [_cell(v) for v in x.values]
+        return [repr(v) for v in x.values]  # the entries are floats
     if isinstance(x, DiscreteDistribution):
         x = x.mode()
     return [_cell(int(v)) for v in x.actions]
+
+
+def _rows(traj: Trajectory, loss_names: Sequence[str]):
+    """Per stage: t and the cells of its forecast, outcome and losses."""
+    loss_cols = [traj.losses[name] for name in loss_names]
+    for t, (a, y, *losses) in enumerate(zip(traj.a, traj.y, *loss_cols)):
+        yield t, _cells(a), _cells(y), [_cell(v) for v in losses]
 
 
 def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
@@ -215,35 +226,28 @@ def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
     Distribution forecasts are shown as the most likely action per player;
     point forecasts and observations are written verbatim.
     """
-    first = traj.records[0]
-    a_width = len(_cells(first.a))
-    y_width = len(_cells(first.y))
     header = (
         ["t"]
-        + [f"a_{i}" for i in range(a_width)]
-        + [f"y_{i}" for i in range(y_width)]
+        + [f"a_{i}" for i in range(len(_cells(traj.a[0])))]
+        + [f"y_{i}" for i in range(len(_cells(traj.y[0])))]
         + list(loss_names)
     )
     lines = [",".join(header)]
-    for rec in traj.records:
-        cells = [str(rec.t)]
-        cells += _cells(rec.a)
-        cells += _cells(rec.y)
-        cells += [_cell(rec.losses[name]) for name in loss_names]
-        lines.append(",".join(cells))
+    for t, a, y, losses in _rows(traj, loss_names):
+        lines.append(",".join([str(t), *a, *y, *losses]))
     return "\n".join(lines) + "\n"
 
 
 def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
     """Tidy long format (t, series, value) for external plotting."""
     lines = ["t,series,value"]
-    for rec in traj.records:
-        for i, cell in enumerate(_cells(rec.a)):
-            lines.append(f"{rec.t},a_{i},{cell}")
-        for i, cell in enumerate(_cells(rec.y)):
-            lines.append(f"{rec.t},y_{i},{cell}")
-        for name in loss_names:
-            lines.append(f"{rec.t},{name},{_cell(rec.losses[name])}")
+    for t, a, y, losses in _rows(traj, loss_names):
+        for i, cell in enumerate(a):
+            lines.append(f"{t},a_{i},{cell}")
+        for i, cell in enumerate(y):
+            lines.append(f"{t},y_{i},{cell}")
+        for name, cell in zip(loss_names, losses):
+            lines.append(f"{t},{name},{cell}")
     return "\n".join(lines) + "\n"
 
 
@@ -254,8 +258,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
     try:
         traj = run_dynamic(config)
-    except InvalidConfigError as exc:
-        raise InvalidConfigError(f"{args.config}: {exc}") from None
+    except (InvalidConfigError, InvalidParameterError) as exc:
+        raise type(exc)(f"{args.config}: {exc}") from None
     loss_names = config.losses()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -369,8 +373,8 @@ def cmd_monte_carlo(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"--runs: need at least one run, got {args.runs}")
     try:
         summary = monte_carlo(config, n_runs=args.runs)
-    except InvalidConfigError as exc:
-        raise InvalidConfigError(f"{args.config}: {exc}") from None
+    except (InvalidConfigError, InvalidParameterError) as exc:
+        raise type(exc)(f"{args.config}: {exc}") from None
     print(f"runs={summary.n_runs}")
     for name in sorted(summary.loss_means):
         print(

@@ -9,10 +9,12 @@ provide analytically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -67,18 +69,35 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    records: tuple[StageRecord, ...]
+    """A run kept as columns: stage t announced a[t], observed y[t] and scored losses[name][t].
+
+    ``records`` builds the per-stage ``StageRecord``s on first use and keeps
+    them, so a change made through a record stays visible.
+    """
+
+    a: list[Forecast]
+    y: list[object]
+    losses: dict[str, list[float]]
     config_hash: str
+    w: str = "w0"
+
+    def _record(self, t: int) -> StageRecord:
+        losses = {name: col[t] for name, col in self.losses.items()}
+        return StageRecord(t=t, w=self.w, a=self.a[t], y=self.y[t], losses=losses)
+
+    @functools.cached_property
+    def records(self) -> tuple[StageRecord, ...]:
+        return tuple(self._record(t) for t in range(len(self.a)))
 
     def __iter__(self):
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.a)
 
     @property
     def final(self) -> StageRecord:
-        return self.records[-1]
+        return self._record(len(self.a) - 1)
 
 
 def config_hash(config: SimConfig) -> str:
@@ -202,6 +221,7 @@ class _FiniteGameEnv:
         self._play_cache: dict[DiscreteDistribution, list[JointProfile]] = {}
         self._nash_cache: dict[DiscreteDistribution, float] = {}
         if self.bayesian:
+            self._profiles: dict[JointProfile, JointProfile] = {}
             self._last_a: DiscreteDistribution | None = None
             self._last_plays: list[JointProfile] = []
             self._combo_ids: Iterator[int] = iter(())
@@ -226,11 +246,22 @@ class _FiniteGameEnv:
         return dist
 
     def _plays(self, a: DiscreteDistribution) -> list[JointProfile]:
-        """The joint outcome of every type combination, indexed by combination id."""
+        """The joint outcome of every type combination, indexed by combination id.
+
+        Equal profiles are one object across forecasts, so the policy's tallies
+        find them by identity.
+        """
+        if a is self._last_a:  # partpred repeats one forecast object for r stages
+            return self._last_plays
         plays = self._play_cache.get(a)
         if plays is None:
-            plays = [bayes_play_profile(self.game, a, types) for types, _ in self.game.type_combos()]
+            intern = self._profiles.setdefault
+            plays = []
+            for types, _ in self.game.type_combos():
+                c = bayes_play_profile(self.game, a, types)
+                plays.append(intern(c, c))
             self._play_cache[a] = plays
+        self._last_a, self._last_plays = a, plays
         return plays
 
     def _draw_combo_ids(self) -> list[int]:
@@ -251,13 +282,25 @@ class _FiniteGameEnv:
             raise InvalidConfigError("finite-game setting needs distribution forecasts")
         if not self.bayesian:
             return self.exact_response(a).support[0]
-        if a is not self._last_a:  # partpred repeats one forecast object for r stages
-            self._last_a, self._last_plays = a, self._plays(a)
+        plays = self._plays(a)
         combo_id = next(self._combo_ids, None)
         if combo_id is None:
             self._combo_ids = iter(self._draw_combo_ids())
             combo_id = next(self._combo_ids)
-        return self._last_plays[combo_id]
+        return plays[combo_id]
+
+    def respond_many(self, a: Forecast, h: int) -> list[JointProfile]:
+        """The outcomes of h stages that all announce a: h calls of respond in one."""
+        if not isinstance(a, DiscreteDistribution):
+            raise InvalidConfigError("finite-game setting needs distribution forecasts")
+        if not self.bayesian:
+            return [self.exact_response(a).support[0]] * h
+        plays = self._plays(a)
+        ids = list(islice(self._combo_ids, h))
+        while len(ids) < h:
+            self._combo_ids = iter(self._draw_combo_ids())
+            ids += islice(self._combo_ids, h - len(ids))
+        return [plays[combo_id] for combo_id in ids]
 
     def pred(self, a: DiscreteDistribution) -> float:
         return tv_distance(a, self.exact_response(a))
@@ -345,35 +388,60 @@ def _start(config: SimConfig, run_index: int):
     return env, policy_cls.from_params(config.policy_params, np.random.default_rng(policy_seed), env)
 
 
+def _holds(config: SimConfig, env, policy) -> Iterator[tuple[Forecast, list]]:
+    """Run the stages, yielding (a, ys) per hold: the outcomes ys of stages that all announce a.
+
+    The policy is asked for its forecast strictly before the environment
+    responds, and only ever sees observations from earlier stages. It is not
+    asked on the stages it holds (see ``policies``); the environment answers a
+    hold in one call, reading its random stream as it would stage by stage.
+    An InvalidParameterError, such as a forecast or outcome that is no longer
+    finite, is raised again naming the stage it came from.
+    """
+    w, stages = config.covariate, config.stages
+    t = 0
+    y_prev: object = None
+    try:
+        while t < stages:
+            a = policy.forecast(w, y_prev)
+            h = policy.hold()
+            if h == 1:
+                ys = [env.respond(a)]
+            else:
+                ys = env.respond_many(a, min(h, stages - t))
+                policy.observe_held(ys[:-1])
+            yield a, ys
+            y_prev = ys[-1]
+            t += len(ys)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"stage {t}: {exc}") from None
+
+
 def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
     """Run the repeated system for config.stages stages.
 
-    The policy is asked for its forecast strictly before the environment
-    responds, and only ever sees observations from earlier stages.
+    Each loss is scored once per hold: only finite-game policies hold for more
+    than one stage, and the finite-game losses depend on the forecast alone.
     """
     env, policy = _start(config, run_index)
-    loss_fns = [(name, getattr(env, name)) for name in config.losses()]
-
-    records = []
-    y_prev: object = None
-    for t in range(config.stages):
-        a = policy.forecast(config.covariate, y_prev)
-        y = env.respond(a)
-        losses = {}
-        for name, loss_fn in loss_fns:
-            losses[name] = loss_fn(a)
-        records.append(StageRecord(t=t, w=config.covariate, a=a, y=y, losses=losses))
-        y_prev = y
-    return Trajectory(tuple(records), config_hash(config))
+    loss_fns = [(getattr(env, name), []) for name in config.losses()]
+    a_col: list[Forecast] = []
+    y_col: list[object] = []
+    for a, ys in _holds(config, env, policy):
+        h = len(ys)
+        a_col += [a] * h
+        y_col += ys
+        for loss_fn, col in loss_fns:
+            col += [loss_fn(a)] * h
+    losses = {name: col for name, (_, col) in zip(config.losses(), loss_fns)}
+    return Trajectory(a_col, y_col, losses, config_hash(config), config.covariate)
 
 
 def policy_summary(config: SimConfig, run_index: int = 0) -> dict[str, object]:
     """Re-run and report the policy's final internal flags (cheap, deterministic)."""
     env, policy = _start(config, run_index)
-    y_prev: object = None
-    for t in range(config.stages):
-        a = policy.forecast(config.covariate, y_prev)
-        y_prev = env.respond(a)
+    for _ in _holds(config, env, policy):
+        pass
     return policy.summary()
 
 
@@ -409,10 +477,8 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
     for k in range(n_runs):
         traj = run_dynamic(config, run_index=k)
         for name in loss_names:
-            per_run[name].append(
-                math.fsum(rec.losses[name] for rec in traj.records) / len(traj)
-            )
-        final = traj.final.a
+            per_run[name].append(math.fsum(traj.losses[name]) / len(traj))
+        final = traj.a[-1]
         finals.append(final)
         if config.setting == "finite-game" and isinstance(final, DiscreteDistribution):
             if tv_distance(exact_response(config, final), final) <= sf_tol:
@@ -464,14 +530,17 @@ def replay(
     width = len(observations[0])
     params = {REPLAY_OPENING[policy_name]: (0.0,) * width, **policy_params}
     policy = policies.POLICIES[policy_name].from_params(params, np.random.default_rng(0), None)
-    records = []
+    a_col: list[Forecast] = []
+    y_col: list[PointForecast] = []
+    loss_col: list[float] = []
     y_prev: PointForecast | None = None
     for t, row in enumerate(observations):
         if len(row) != width:
             raise InvalidConfigError(f"replay: row {t} has {len(row)} cells, expected {width}")
         a = policy.forecast(covariate, y_prev)
         y = PointForecast(tuple(float(v) for v in row))
-        losses = {"point_pred": point_pred_loss(a, y.values)}
-        records.append(StageRecord(t=t, w=covariate, a=a, y=y, losses=losses))
+        a_col.append(a)
+        y_col.append(y)
+        loss_col.append(point_pred_loss(a, y.values))
         y_prev = y
-    return Trajectory(tuple(records), "replay")
+    return Trajectory(a_col, y_col, {"point_pred": loss_col}, "replay", covariate)

@@ -7,6 +7,11 @@ Each policy is one mutable state class with one interface:
   keys, the run's policy generator and the environment adapter;
 - ``forecast(w, y_prev)`` announces the forecast for covariate w, given the
   previous stage's outcome (None on the first stage);
+- ``hold()``, asked right after ``forecast``, is the number of coming stages,
+  the one just announced included, over which the policy will announce that
+  same forecast whatever it observes; the loop skips ``forecast`` on the
+  held stages and, where ``hold()`` exceeds 1, hands their outcomes over in
+  one ``observe_held(ys)`` call;
 - ``summary()`` reports the final internal flags.
 
 ``POLICIES`` maps each policy name to its class. The update rules themselves
@@ -18,6 +23,7 @@ independent.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
@@ -44,15 +50,18 @@ from .core import (
 )
 
 
-class _NoFlags:
-    """Base of the policies that have no internal flags to report."""
+class _EveryStage:
+    """Base of the policies that may change their forecast on every stage."""
+
+    def hold(self) -> int:
+        return 1
 
     def summary(self) -> dict[str, object]:
         return {}
 
 
 @dataclass
-class ExpodampState(_NoFlags):
+class ExpodampState(_EveryStage):
     """Damped forecast update: move the forecast a fraction alpha toward the outcome."""
 
     a: PointForecast
@@ -118,7 +127,7 @@ def _opening_profile(params: Mapping[str, object], env) -> DiscreteDistribution:
 
 
 @dataclass
-class NaiveState(_NoFlags):
+class NaiveState(_EveryStage):
     """Yesterday's outcome as today's forecast, after a configured opening forecast."""
 
     initial: Forecast
@@ -139,7 +148,7 @@ class NaiveState(_NoFlags):
 
 
 @dataclass
-class AverageState(_NoFlags):
+class AverageState(_EveryStage):
     """Running-mean forecast; a configured prior is used before two observations exist."""
 
     prior: PointForecast
@@ -174,7 +183,7 @@ def average_step(state: AverageState, y_prev: Sequence[float]) -> PointForecast:
 
 
 @dataclass
-class EmpiricalDistributionState(_NoFlags):
+class EmpiricalDistributionState(_EveryStage):
     """I.i.d.-style baseline: forecast the empirical distribution of past outcomes."""
 
     prior: DiscreteDistribution
@@ -198,7 +207,7 @@ def empirical_step(state: EmpiricalDistributionState, c_prev: JointProfile) -> D
 
 
 @dataclass
-class KalmanPolicyState:
+class KalmanPolicyState(_EveryStage):
     """Scalar filter over the latent level of the linear aggregate model.
 
     Tracks the one-step-ahead mean and variance of the latent level given all
@@ -392,7 +401,7 @@ class PartpredState:
     flagged for a covariate its output never changes again.
     """
 
-    candidates: Mapping[Hashable, Sequence[DiscreteDistribution]] | Sequence[DiscreteDistribution]
+    candidates: Sequence[DiscreteDistribution]
     r: int
     update_fn: UpdateFn
     rng: np.random.Generator
@@ -405,6 +414,8 @@ class PartpredState:
     def __post_init__(self) -> None:
         if self.r < 1:
             raise InvalidConfigError("policy.r: group length must be at least 1")
+        if not self.candidates:
+            raise InvalidConfigError("partpred.candidates: empty candidate set")
 
     @classmethod
     def from_params(cls, params, rng, env) -> "PartpredState":
@@ -425,25 +436,30 @@ class PartpredState:
     def forecast(self, w: str, y_prev: object) -> Forecast:
         return partpred_step(self, w, y_prev)
 
+    def hold(self) -> int:
+        """The rest of the current group, or of the run once the search has converged."""
+        search = self.per_w[self.last_w]
+        if search.converged:
+            return sys.maxsize
+        return self.r - search.announce_counts[search.current] + 1
+
+    def observe_held(self, ys: Sequence[JointProfile]) -> None:
+        """Take the outcomes of held stages, as the skipped partpred_step calls would."""
+        search = self.per_w[self.last_w]
+        search.tallies[search.current].update(ys)
+        if not search.converged:
+            search.announce_counts[search.current] += len(ys)
+
     def summary(self) -> dict[str, object]:
         return {
             "converged": {str(w): s.converged for w, s in self.per_w.items()},
             "exploration_used": self.exploration_used_anywhere(),
         }
 
-    def _candidates_for(self, w: Hashable) -> list[DiscreteDistribution]:
-        if isinstance(self.candidates, Mapping):
-            cands = list(self.candidates.get(w, ()))
-        else:
-            cands = list(self.candidates)
-        if not cands:
-            raise InvalidConfigError(f"partpred.candidates: empty candidate set for w={w!r}")
-        return cands
-
     def _search_for(self, w: Hashable) -> _CovariateSearch:
         search = self.per_w.get(w)
         if search is None:
-            cands = self._candidates_for(w)
+            cands = list(self.candidates)
             if self.initial_index is not None:
                 start = self.initial_index
                 if not -len(cands) <= start < len(cands):

@@ -59,6 +59,12 @@ class TestDayCsv:
         with pytest.raises(ParseError, match="negative"):
             parse_day_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_exits_2_naming_line_and_cell(self, tmp_path, capsys, cell):
+        path = write(tmp_path / "bad.csv", f"a,b\n1,{cell}\n2,3\n")
+        assert main(["evaluate", "--data", path]) == 2
+        assert f"error: {path}:2: cell 2 is not finite" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "empty.csv", "")
         with pytest.raises(EmptyInputError):
@@ -365,6 +371,22 @@ def test_negative_seed_flag_exits_2_naming_the_flag(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: --seed: expected a nonnegative integer, got -1" in err
     assert config not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["monte-carlo", "--runs", "2"]], ids=["simulate", "monte-carlo"]
+)
+def test_diverging_point_run_exits_2_naming_file_and_stage(tmp_path, capsys, argv):
+    # with alpha = 1 each forecast is the last outcome, which beta = 3 triples until it overflows
+    config = write(
+        tmp_path / "diverge.ini",
+        "[run]\nsetting = linear\nstages = 2000\nseed = 1\n"
+        "[policy]\nname = expodamp\nalpha = 1.0\ninitial = 0.5\n"
+        "[environment]\nbeta = 3.0\ngamma = 0.5\nx0_mean = 0.4\n",
+    )
+    assert main(argv + ["--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: stage 646: point forecast entries must be finite" in err
 
 
 def test_spread_beyond_float_range_reads_inf(tmp_path, capsys):

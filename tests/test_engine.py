@@ -9,6 +9,7 @@ from crowdcast.core import (
     DiscreteDistribution,
     InvalidConfigError,
     JointProfile,
+    StageRecord,
     trajectory_mse,
 )
 from crowdcast.engine import (
@@ -22,6 +23,8 @@ from crowdcast.engine import (
     replay,
     run_dynamic,
     _FiniteGameEnv,
+    _holds,
+    _start,
 )
 from crowdcast.environments import BayesianCongestionGame, bayes_play_profile, crowding_game
 
@@ -334,6 +337,63 @@ class TestBayesianTypeDraws:
         assert np.cumsum(prior)[-1] == np.nextafter(1.0, 0.0)
         env = _FiniteGameEnv({"game": typed_game(prior, (0.25, 0.75))}, TopOfUnitInterval())
         assert env.respond(D.dirac(J((0, 0)))) == J((2, 1))
+
+
+def stage_by_stage(config):
+    """Records of a run that asks the policy and the environment on every stage, and its policy."""
+    env, policy = _start(config, 0)
+    records = []
+    y_prev = None
+    for t in range(config.stages):
+        a = policy.forecast(config.covariate, y_prev)
+        y = env.respond(a)
+        losses = {name: getattr(env, name)(a) for name in config.losses()}
+        records.append(StageRecord(t=t, w=config.covariate, a=a, y=y, losses=losses))
+        y_prev = y
+    return records, policy
+
+
+def partpred_config(game, r, stages, seed, update="congestion"):
+    return SimConfig(
+        setting="finite-game",
+        policy="partpred",
+        policy_params={"r": r, "update": update},
+        env_params={"game": game},
+        stages=stages,
+        seed=seed,
+    )
+
+
+class TestHoldLoop:
+    """Holds skip the policy on held stages; the run must equal the stage-by-stage one."""
+
+    def assert_same_run(self, cfg):
+        records, reference = stage_by_stage(cfg)
+        assert run_dynamic(cfg).records == tuple(records)
+        assert policy_summary(cfg) == reference.summary()
+        env, policy = _start(cfg, 0)
+        assert sum(len(ys) for _, ys in _holds(cfg, env, policy)) == cfg.stages
+        assert policy.per_w == reference.per_w  # tallies, group counts and candidate walk
+
+    # With r = 2 or r = 200 these stage counts end inside a group.
+    @pytest.mark.parametrize("stages", [1, 7, 450, 1203])
+    @pytest.mark.parametrize("r", [1, 2, 200])
+    def test_bayes_corpus(self, bayes_corpus, r, stages):
+        for k, game in enumerate(bayes_corpus):
+            self.assert_same_run(partpred_config(game, r, stages, seed=k, update="general"))
+
+    @pytest.mark.parametrize("stages", [3, 251])
+    @pytest.mark.parametrize("r", [1, 2, 200])
+    def test_game_corpus(self, game_corpus, r, stages):
+        for k, game in enumerate(game_corpus):
+            self.assert_same_run(partpred_config(game, r, stages, seed=k))
+
+    def test_final_is_the_last_record_and_records_are_built_once(self, bayes_corpus):
+        traj = run_dynamic(partpred_config(bayes_corpus[0], 2, 9, seed=0, update="general"))
+        assert traj.final == traj.records[-1]
+        assert traj.records is traj.records
+        traj.records[0].losses["pred"] += 0.5
+        assert traj.records[0].losses["pred"] == traj.losses["pred"][0] + 0.5
 
 
 class TestMonteCarlo:
