@@ -14,17 +14,19 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 from . import analysis
 from .core import (
     CrowdcastError,
+    DegenerateGainError,
     DiscreteDistribution,
     EmptyInputError,
     InvalidConfigError,
     InvalidParameterError,
     ParseError,
-    PointForecast,
     TooLargeError,
     as_int,
     read_params,
@@ -198,57 +200,39 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
 # --- trajectory serialization ---------------------------------------------------
 
 
-def _cell(value: float | int) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def _entry_cells(col: Sequence[object]) -> list[Iterator[str]]:
+    """One lazy stream of cells per entry of a forecast or outcome column.
+
+    Point values (tuples of floats) are written verbatim; profiles, and the
+    mode of each distribution, as slots.
+    """
+    if isinstance(col[0], tuple):
+        return [map(repr, map(itemgetter(i), col)) for i in range(len(col[0]))]
+    slots = [(x.mode() if isinstance(x, DiscreteDistribution) else x).actions for x in col]
+    return [map(str, map(itemgetter(i), slots)) for i in range(len(slots[0]))]
 
 
-def _cells(x: object) -> list[str]:
-    """A point forecast or observation verbatim; a profile, or a distribution's mode, as slots."""
-    if isinstance(x, PointForecast):
-        return [repr(v) for v in x.values]  # the entries are floats
-    if isinstance(x, DiscreteDistribution):
-        x = x.mode()
-    return [_cell(int(v)) for v in x.actions]
-
-
-def _rows(traj: Trajectory, loss_names: Sequence[str]):
-    """Per stage: t and the cells of its forecast, outcome and losses."""
-    loss_cols = [traj.losses[name] for name in loss_names]
-    for t, (a, y, *losses) in enumerate(zip(traj.a, traj.y, *loss_cols)):
-        yield t, _cells(a), _cells(y), [_cell(v) for v in losses]
+def _columns(traj: Trajectory, loss_names: Sequence[str]) -> tuple[list[str], list[Iterator[str]]]:
+    """The series names a_0.., y_0.., losses and one lazy cell stream for each."""
+    a, y = _entry_cells(traj.a), _entry_cells(traj.y)
+    names = [f"a_{i}" for i in range(len(a))] + [f"y_{i}" for i in range(len(y))]
+    return names + list(loss_names), a + y + [map(repr, traj.losses[n]) for n in loss_names]
 
 
 def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
-    """Columns: t, a_0.., y_0.., loss columns.
-
-    Distribution forecasts are shown as the most likely action per player;
-    point forecasts and observations are written verbatim.
-    """
-    header = (
-        ["t"]
-        + [f"a_{i}" for i in range(len(_cells(traj.a[0])))]
-        + [f"y_{i}" for i in range(len(_cells(traj.y[0])))]
-        + list(loss_names)
-    )
-    lines = [",".join(header)]
-    for t, a, y, losses in _rows(traj, loss_names):
-        lines.append(",".join([str(t), *a, *y, *losses]))
+    """Columns: t, a_0.., y_0.., loss columns, with the cells of ``_entry_cells``."""
+    names, cells = _columns(traj, loss_names)
+    lines = [",".join(["t", *names])]
+    lines += map(",".join, zip(map(str, range(len(traj))), *cells))
     return "\n".join(lines) + "\n"
 
 
 def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
     """Tidy long format (t, series, value) for external plotting."""
-    lines = ["t,series,value"]
-    for t, a, y, losses in _rows(traj, loss_names):
-        for i, cell in enumerate(a):
-            lines.append(f"{t},a_{i},{cell}")
-        for i, cell in enumerate(y):
-            lines.append(f"{t},y_{i},{cell}")
-        for name, cell in zip(loss_names, losses):
-            lines.append(f"{t},{name},{cell}")
-    return "\n".join(lines) + "\n"
+    names, cells = _columns(traj, loss_names)
+    # one lazy stream of lines per series, interleaved stage by stage
+    series = [map(f"{{}},{name},{{}}".format, range(len(traj)), c) for name, c in zip(names, cells)]
+    return "\n".join(["t,series,value", *chain.from_iterable(zip(*series))]) + "\n"
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -258,7 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
     try:
         traj = run_dynamic(config)
-    except (InvalidConfigError, InvalidParameterError) as exc:
+    except (InvalidConfigError, InvalidParameterError, DegenerateGainError) as exc:
         raise type(exc)(f"{args.config}: {exc}") from None
     loss_names = config.losses()
     if args.out:
@@ -270,7 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     final = traj.final
     print(f"setting={config.setting} policy={config.policy} stages={config.stages} seed={config.seed}")
     print(f"config_hash={traj.config_hash}")
-    print("final_forecast=" + " ".join(_cells(final.a)))
+    print("final_forecast=" + " ".join(map(next, _entry_cells(traj.a[-1:]))))
     print(
         "final_losses="
         + " ".join(f"{name}={final.losses[name]:.9g}" for name in loss_names)
@@ -373,7 +357,7 @@ def cmd_monte_carlo(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"--runs: need at least one run, got {args.runs}")
     try:
         summary = monte_carlo(config, n_runs=args.runs)
-    except (InvalidConfigError, InvalidParameterError) as exc:
+    except (InvalidConfigError, InvalidParameterError, DegenerateGainError) as exc:
         raise type(exc)(f"{args.config}: {exc}") from None
     print(f"runs={summary.n_runs}")
     for name in sorted(summary.loss_means):

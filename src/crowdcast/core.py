@@ -280,7 +280,8 @@ def point_pred_loss(a: PointForecast, y_mean: Sequence[float]) -> float:
         return math.inf
 
 
-def _observation_vector(y: object) -> tuple[float, ...]:
+def observation_values(y: object) -> tuple[float, ...]:
+    """A real-vector observation as a tuple of floats."""
     if isinstance(y, PointForecast):
         return y.values
     if isinstance(y, (int, float)):
@@ -301,7 +302,7 @@ def trajectory_mse(records: Iterable[StageRecord]) -> float:
     for rec in records:
         if not isinstance(rec.a, PointForecast):
             raise ShapeError(f"stage {rec.t} has no point forecast")
-        total += point_pred_loss(rec.a, _observation_vector(rec.y))
+        total += point_pred_loss(rec.a, observation_values(rec.y))
         count += 1
     if count == 0:
         raise EmptyInputError("trajectory has no stages")

@@ -21,12 +21,14 @@ import numpy as np
 
 from . import analysis, policies
 from .core import (
+    DegenerateGainError,
     DiscreteDistribution,
     Forecast,
     InvalidConfigError,
     InvalidParameterError,
     JointProfile,
     PointForecast,
+    ShapeError,
     StageRecord,
     as_float,
     as_floats,
@@ -71,11 +73,11 @@ class SimConfig:
 class Trajectory:
     """A run kept as columns: stage t announced a[t], observed y[t] and scored losses[name][t].
 
-    ``records`` builds the per-stage ``StageRecord``s on first use and keeps
-    them, so a change made through a record stays visible.
+    A point run keeps bare value tuples, which records wrap as ``PointForecast``s.
+    ``records`` are built on first use and kept, so a change through one stays visible.
     """
 
-    a: list[Forecast]
+    a: list[object]
     y: list[object]
     losses: dict[str, list[float]]
     config_hash: str
@@ -83,7 +85,10 @@ class Trajectory:
 
     def _record(self, t: int) -> StageRecord:
         losses = {name: col[t] for name, col in self.losses.items()}
-        return StageRecord(t=t, w=self.w, a=self.a[t], y=self.y[t], losses=losses)
+        a, y = self.a[t], self.y[t]
+        if isinstance(a, tuple):
+            a, y = PointForecast(a), PointForecast(y)
+        return StageRecord(t=t, w=self.w, a=a, y=y, losses=losses)
 
     @functools.cached_property
     def records(self) -> tuple[StageRecord, ...]:
@@ -135,29 +140,47 @@ def closed_form_trajectory(
 # its LOSSES, each a method that run_dynamic calls with the forecast after respond.
 
 
-class _LinearEnv:
+def _scalar(a: tuple[float, ...]) -> tuple[float]:
+    """A scalar setting's forecast or outcome, checked to hold one finite entry."""
+    if len(a) != 1:
+        raise ShapeError(f"expected 1-dimensional forecast, got {len(a)}")
+    if not math.isfinite(a[0]):
+        raise InvalidParameterError("point forecast entries must be finite")
+    return a
+
+
+class _ScalarEnv:
+    """A setting whose forecasts and outcomes are one real number, kept as a bare 1-tuple."""
+
     kind = "point"
-    POLICIES = ("expodamp", "average", "naive", "kalman")
     LOSSES = ("point_pred",)
+
+    def point_pred(self, a: tuple[float, ...]) -> float:
+        """Squared error against the exact mean outcome, scored as point_pred_loss does."""
+        try:
+            return (a[0] - self.last_mean) ** 2
+        except OverflowError:  # a squared error beyond the float range
+            return math.inf
+
+
+class _LinearEnv(_ScalarEnv):
+    POLICIES = ("expodamp", "average", "naive", "kalman")
     PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
         p = read_params(params, self.PARAMS, "environment", ("beta", "gamma", "x0_mean"))
         self.env = LinearAggregateEnv.create(rng=rng, **p)
 
-    def respond(self, a: Forecast) -> PointForecast:
-        if not isinstance(a, PointForecast):
-            raise InvalidConfigError("linear setting needs point forecasts")
-        return PointForecast((linear_step(self.env, a.scalar),))
+    @property
+    def last_mean(self) -> float:
+        return self.env.last_mean
 
-    def point_pred(self, a: PointForecast) -> float:
-        return point_pred_loss(a, (self.env.last_mean,))
+    def respond(self, a: tuple[float, ...]) -> tuple[float]:
+        return _scalar((linear_step(self.env, _scalar(a)[0]),))
 
 
-class _NonatomicEnv:
-    kind = "point"
+class _NonatomicEnv(_ScalarEnv):
     POLICIES = ("expodamp", "average", "naive")
-    LOSSES = ("point_pred",)
     PARAMS = {"phi": as_float, "chi": as_float, "delta": as_float, "x": as_float}
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
@@ -165,14 +188,9 @@ class _NonatomicEnv:
         self.pop = NonatomicPopulation(**p)
         self.last_mean = math.nan
 
-    def respond(self, a: Forecast) -> PointForecast:
-        if not isinstance(a, PointForecast):
-            raise InvalidConfigError("nonatomic setting needs point forecasts")
-        self.last_mean = nonatomic_response_closed(self.pop, a.scalar)
-        return PointForecast((self.last_mean,))
-
-    def point_pred(self, a: PointForecast) -> float:
-        return point_pred_loss(a, (self.last_mean,))
+    def respond(self, a: tuple[float, ...]) -> tuple[float]:
+        self.last_mean = nonatomic_response_closed(self.pop, _scalar(a)[0])
+        return (self.last_mean,)
 
 
 def build_game(
@@ -277,9 +295,7 @@ class _FiniteGameEnv:
             ids += np.minimum(types, last) * weight
         return ids.tolist()
 
-    def respond(self, a: Forecast) -> JointProfile:
-        if not isinstance(a, DiscreteDistribution):
-            raise InvalidConfigError("finite-game setting needs distribution forecasts")
+    def respond(self, a: DiscreteDistribution) -> JointProfile:
         if not self.bayesian:
             return self.exact_response(a).support[0]
         plays = self._plays(a)
@@ -289,10 +305,8 @@ class _FiniteGameEnv:
             combo_id = next(self._combo_ids)
         return plays[combo_id]
 
-    def respond_many(self, a: Forecast, h: int) -> list[JointProfile]:
+    def respond_many(self, a: DiscreteDistribution, h: int) -> list[JointProfile]:
         """The outcomes of h stages that all announce a: h calls of respond in one."""
-        if not isinstance(a, DiscreteDistribution):
-            raise InvalidConfigError("finite-game setting needs distribution forecasts")
         if not self.bayesian:
             return [self.exact_response(a).support[0]] * h
         plays = self._plays(a)
@@ -364,6 +378,11 @@ def _validate(config: SimConfig) -> None:
                 f"run.losses: {name!r} not available in the {config.setting} setting"
             )
     _reject_unknown_keys("policy", config.policy_params, policies.POLICIES[config.policy].PARAMS)
+    if env_cls.kind == "point":  # a scalar outcome takes a one-value opening forecast
+        for key in {"initial", "prior"} & set(config.policy_params):
+            n = len(as_floats(config.policy_params[key], f"policy.{key}"))
+            if n != 1:
+                raise InvalidConfigError(f"policy.{key}: a scalar setting takes one value, got {n}")
     if env_cls is not _FiniteGameEnv:
         env_keys = env_cls.PARAMS
     elif "game" in config.env_params:
@@ -388,15 +407,15 @@ def _start(config: SimConfig, run_index: int):
     return env, policy_cls.from_params(config.policy_params, np.random.default_rng(policy_seed), env)
 
 
-def _holds(config: SimConfig, env, policy) -> Iterator[tuple[Forecast, list]]:
+def _holds(config: SimConfig, env, policy) -> Iterator[tuple[object, list]]:
     """Run the stages, yielding (a, ys) per hold: the outcomes ys of stages that all announce a.
 
     The policy is asked for its forecast strictly before the environment
     responds, and only ever sees observations from earlier stages. It is not
     asked on the stages it holds (see ``policies``); the environment answers a
     hold in one call, reading its random stream as it would stage by stage.
-    An InvalidParameterError, such as a forecast or outcome that is no longer
-    finite, is raised again naming the stage it came from.
+    An InvalidParameterError, such as a non-finite forecast or outcome, or a
+    DegenerateGainError is raised again naming the stage it came from.
     """
     w, stages = config.covariate, config.stages
     t = 0
@@ -413,8 +432,8 @@ def _holds(config: SimConfig, env, policy) -> Iterator[tuple[Forecast, list]]:
             yield a, ys
             y_prev = ys[-1]
             t += len(ys)
-    except InvalidParameterError as exc:
-        raise InvalidParameterError(f"stage {t}: {exc}") from None
+    except (InvalidParameterError, DegenerateGainError) as exc:
+        raise type(exc)(f"stage {t}: {exc}") from None
 
 
 def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
@@ -425,7 +444,7 @@ def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
     """
     env, policy = _start(config, run_index)
     loss_fns = [(getattr(env, name), []) for name in config.losses()]
-    a_col: list[Forecast] = []
+    a_col: list[object] = []
     y_col: list[object] = []
     for a, ys in _holds(config, env, policy):
         h = len(ys)
@@ -478,7 +497,7 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
         traj = run_dynamic(config, run_index=k)
         for name in loss_names:
             per_run[name].append(math.fsum(traj.losses[name]) / len(traj))
-        final = traj.a[-1]
+        final = traj.final.a
         finals.append(final)
         if config.setting == "finite-game" and isinstance(final, DiscreteDistribution):
             if tv_distance(exact_response(config, final), final) <= sf_tol:
@@ -530,17 +549,14 @@ def replay(
     width = len(observations[0])
     params = {REPLAY_OPENING[policy_name]: (0.0,) * width, **policy_params}
     policy = policies.POLICIES[policy_name].from_params(params, np.random.default_rng(0), None)
-    a_col: list[Forecast] = []
-    y_col: list[PointForecast] = []
-    loss_col: list[float] = []
-    y_prev: PointForecast | None = None
+    a_col, y_col, loss_col = [], [], []
+    y_prev = None
     for t, row in enumerate(observations):
         if len(row) != width:
             raise InvalidConfigError(f"replay: row {t} has {len(row)} cells, expected {width}")
-        a = policy.forecast(covariate, y_prev)
-        y = PointForecast(tuple(float(v) for v in row))
-        a_col.append(a)
-        y_col.append(y)
-        loss_col.append(point_pred_loss(a, y.values))
-        y_prev = y
+        a = PointForecast(policy.forecast(covariate, y_prev))
+        y_prev = PointForecast(tuple(row)).values
+        a_col.append(a.values)
+        y_col.append(y_prev)
+        loss_col.append(point_pred_loss(a, y_prev))
     return Trajectory(a_col, y_col, {"point_pred": loss_col}, "replay", covariate)

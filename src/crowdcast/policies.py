@@ -6,7 +6,8 @@ Each policy is one mutable state class with one interface:
 - ``from_params(params, rng, env)`` builds the state for one run from those
   keys, the run's policy generator and the environment adapter;
 - ``forecast(w, y_prev)`` announces the forecast for covariate w, given the
-  previous stage's outcome (None on the first stage);
+  previous stage's outcome (None on the first stage); point policies take and
+  announce bare value tuples, the ``values`` of a ``PointForecast``;
 - ``hold()``, asked right after ``forecast``, is the number of coming stages,
   the one just announced included, over which the policy will announce that
   same forecast whatever it observes; the loop skips ``forecast`` on the
@@ -46,6 +47,7 @@ from .core import (
     as_int,
     as_slots,
     euclidean_distance,
+    observation_values,
     read_params,
 )
 
@@ -78,10 +80,10 @@ class ExpodampState(_EveryStage):
         p = read_params(params, cls.PARAMS, "policy", ("alpha",))
         return cls(a=PointForecast(p.get("initial", (0.0,))), alpha=p["alpha"])
 
-    def forecast(self, w: str, y_prev: object) -> Forecast:
+    def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
         if y_prev is None:
-            return self.a
-        return expodamp_step(self, y_prev.values)
+            return self.a.values
+        return expodamp_step(self, y_prev).values
 
 
 def expodamp_step(state: ExpodampState, y_prev: Sequence[float]) -> PointForecast:
@@ -102,13 +104,7 @@ def naive_step(y_prev: object) -> Forecast:
         raise NeedsInitialForecastError("no observation yet; configure an initial forecast")
     if isinstance(y_prev, JointProfile):
         return DiscreteDistribution.dirac(y_prev)
-    if isinstance(y_prev, PointForecast):
-        return y_prev
-    if isinstance(y_prev, (int, float)):
-        return PointForecast((float(y_prev),))
-    if isinstance(y_prev, (tuple, list)):
-        return PointForecast(tuple(float(v) for v in y_prev))
-    raise ShapeError(f"cannot forecast from observation {y_prev!r}")
+    return PointForecast(observation_values(y_prev))
 
 
 def _opening_profile(params: Mapping[str, object], env) -> DiscreteDistribution:
@@ -130,7 +126,7 @@ def _opening_profile(params: Mapping[str, object], env) -> DiscreteDistribution:
 class NaiveState(_EveryStage):
     """Yesterday's outcome as today's forecast, after a configured opening forecast."""
 
-    initial: Forecast
+    initial: tuple[float, ...] | DiscreteDistribution
 
     PARAMS = {"initial": as_floats, "initial_profile": as_slots}
 
@@ -139,12 +135,13 @@ class NaiveState(_EveryStage):
         if env is not None and env.kind == "profile":
             return cls(_opening_profile(params, env))
         p = read_params(params, cls.PARAMS, "policy", ("initial",))
-        return cls(PointForecast(p["initial"]))
+        return cls(PointForecast(p["initial"]).values)
 
-    def forecast(self, w: str, y_prev: object) -> Forecast:
+    def forecast(self, w: str, y_prev: object) -> tuple[float, ...] | DiscreteDistribution:
         if y_prev is None:
             return self.initial
-        return naive_step(y_prev)
+        a = naive_step(y_prev)
+        return a.values if isinstance(a, PointForecast) else a
 
 
 @dataclass
@@ -162,10 +159,10 @@ class AverageState(_EveryStage):
         p = read_params(params, cls.PARAMS, "policy")
         return cls(prior=PointForecast(p.get("prior", (0.0,))))
 
-    def forecast(self, w: str, y_prev: object) -> Forecast:
+    def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
         if y_prev is None:
-            return self.prior
-        return average_step(self, y_prev.values)
+            return self.prior.values
+        return average_step(self, y_prev).values
 
 
 def average_step(state: AverageState, y_prev: Sequence[float]) -> PointForecast:
@@ -239,10 +236,10 @@ class KalmanPolicyState(_EveryStage):
         state.a_prev = a0
         return state
 
-    def forecast(self, w: str, y_prev: object) -> Forecast:
+    def forecast(self, w: str, y_prev: tuple[float] | None) -> tuple[float]:
         if y_prev is not None:
-            self.a_prev = kalman_step(self, self.a_prev, y_prev.scalar)
-        return PointForecast((self.a_prev,))
+            self.a_prev = kalman_step(self, self.a_prev, y_prev[0])
+        return (self.a_prev,)
 
     def summary(self) -> dict[str, object]:
         return {"x_mean": self.x_mean, "x_var": self.x_var}

@@ -305,6 +305,8 @@ def test_malformed_value_exits_2_naming_file_and_field(tmp_path, capsys, command
 
 
 GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -2\n"
+NONATOMIC_RUN = LINEAR_RUN.replace("linear", "nonatomic")
+NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
 
 
 @pytest.mark.parametrize(
@@ -321,10 +323,20 @@ GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -
         ("simulate", LINEAR_RUN.replace("seed = 1", "seed = -1")
          + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV, "run.seed"),
         ("evaluate", "[evaluate]\npolicies =\n", "evaluate.policies"),
+        # a vector opening forecast in a scalar setting
+        ("simulate", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\ninitial = 0.1 0.2\n"
+         + LINEAR_ENV, "policy.initial"),
+        ("monte-carlo", NONATOMIC_RUN + "[policy]\nname = naive\ninitial = 0.1 0.2\n" + NONATOMIC_ENV,
+         "policy.initial"),
+        ("simulate", NONATOMIC_RUN + "[policy]\nname = average\nprior = 0.1 0.2\n" + NONATOMIC_ENV,
+         "policy.prior"),
+        ("monte-carlo", LINEAR_RUN + "[policy]\nname = average\nprior = 0.1 0.2\n" + LINEAR_ENV,
+         "policy.prior"),
     ],
     ids=[
         "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
-        "profile-slot-out-of-range", "negative-seed", "no-policies",
+        "profile-slot-out-of-range", "negative-seed", "no-policies", "vector-initial-linear",
+        "vector-initial-nonatomic", "vector-prior-nonatomic", "vector-prior-linear",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
@@ -332,6 +344,8 @@ def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, com
     argv = [command, "--config", config]
     if command == "evaluate":
         argv += ["--data", write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")]
+    if command == "monte-carlo":
+        argv += ["--runs", "2"]
     assert main(argv) == 2
     assert f"{config}: {field}" in capsys.readouterr().err
 
@@ -387,6 +401,39 @@ def test_diverging_point_run_exits_2_naming_file_and_stage(tmp_path, capsys, arg
     assert main(argv + ["--config", config]) == 2
     err = capsys.readouterr().err
     assert f"error: {config}: stage 646: point forecast entries must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["monte-carlo", "--runs", "2"]], ids=["simulate", "monte-carlo"]
+)
+def test_diverging_kalman_run_exits_2_naming_file_and_stage(tmp_path, capsys, argv):
+    # the filter assumes beta = 0.4 while outcomes follow beta = -3, so each forecast
+    # overshoots further; at stage 993 the forecast itself is no longer finite
+    config = write(
+        tmp_path / "diverge.ini",
+        "[run]\nsetting = linear\nstages = 2000\nseed = 1\n"
+        "[policy]\nname = kalman\nbeta = 0.4\ngamma = 0.8\nvar_ex = 0.3\nvar_ey = 0.5\n"
+        "x0_mean = 0.6\nx0_var = 0.4\n"
+        "[environment]\nbeta = -3.0\ngamma = 0.8\nx0_mean = 0.6\n",
+    )
+    assert main(argv + ["--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: stage 993: point forecast entries must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["monte-carlo", "--runs", "2"]], ids=["simulate", "monte-carlo"]
+)
+def test_degenerate_kalman_gain_exits_2_naming_file_and_stage(tmp_path, capsys, argv):
+    # no prior spread and no outcome noise leave the first update without a gain
+    config = write(
+        tmp_path / "degenerate.ini",
+        LINEAR_RUN + "[policy]\nname = kalman\nbeta = 0.5\ngamma = 0.5\nx0_mean = 0.4\n"
+        "var_ey = 0\nx0_var = 0\n" + LINEAR_ENV,
+    )
+    assert main(argv + ["--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: stage 1: gamma^2 * x_var + var_ey is zero" in err
 
 
 def test_spread_beyond_float_range_reads_inf(tmp_path, capsys):

@@ -9,7 +9,9 @@ from crowdcast.core import (
     DiscreteDistribution,
     InvalidConfigError,
     JointProfile,
+    PointForecast,
     StageRecord,
+    point_pred_loss,
     trajectory_mse,
 )
 from crowdcast.engine import (
@@ -26,7 +28,24 @@ from crowdcast.engine import (
     _holds,
     _start,
 )
-from crowdcast.environments import BayesianCongestionGame, bayes_play_profile, crowding_game
+from crowdcast.environments import (
+    BayesianCongestionGame,
+    LinearAggregateEnv,
+    NonatomicPopulation,
+    bayes_play_profile,
+    crowding_game,
+    linear_step,
+    nonatomic_response_closed,
+)
+from crowdcast.policies import (
+    AverageState,
+    ExpodampState,
+    average_step,
+    expodamp_step,
+    kalman_init,
+    kalman_step,
+    naive_step,
+)
 
 D = DiscreteDistribution
 J = JointProfile
@@ -394,6 +413,87 @@ class TestHoldLoop:
         assert traj.records is traj.records
         traj.records[0].losses["pred"] += 0.5
         assert traj.records[0].losses["pred"] == traj.losses["pred"][0] + 0.5
+
+
+def point_forecast_reference(config):
+    """Records of a point run that builds a PointForecast for every forecast and outcome.
+
+    The policy is driven through its step function and the environment
+    through linear_step or nonatomic_response_closed; point_pred is
+    point_pred_loss against the exact mean outcome.
+    """
+    env_seed, _ = np.random.SeedSequence(entropy=(config.seed, 0)).spawn(2)
+    p = config.policy_params
+    if config.setting == "linear":
+        env = LinearAggregateEnv.create(rng=np.random.default_rng(env_seed), **config.env_params)
+
+        def respond(a):
+            y = linear_step(env, a.scalar)
+            return PointForecast((y,)), env.last_mean
+    else:
+        pop = NonatomicPopulation(**config.env_params)
+
+        def respond(a):
+            mean = nonatomic_response_closed(pop, a.scalar)
+            return PointForecast((mean,)), mean
+
+    if config.policy == "expodamp":
+        state = ExpodampState(a=PointForecast(p["initial"]), alpha=p["alpha"])
+        a, step = state.a, lambda a, y: expodamp_step(state, y.values)
+    elif config.policy == "average":
+        state = AverageState(prior=PointForecast(p["prior"]))
+        a, step = state.prior, lambda a, y: average_step(state, y.values)
+    elif config.policy == "naive":
+        a, step = PointForecast(p["initial"]), lambda a, y: naive_step(y)
+    else:
+        state, a0 = kalman_init(**p)
+        a = PointForecast((a0,))
+        step = lambda a, y: PointForecast((kalman_step(state, a.scalar, y.scalar),))
+    records = []
+    for t in range(config.stages):
+        if t:
+            a = step(a, y)
+        y, mean = respond(a)
+        losses = {"point_pred": point_pred_loss(a, (mean,))}
+        records.append(StageRecord(t=t, w=config.covariate, a=a, y=y, losses=losses))
+    return records
+
+
+LINEAR_ENV = {"beta": 0.4, "gamma": 0.8, "var_ex": 0.3, "var_ey": 0.5, "x0_mean": 0.6, "x0_var": 0.4}
+NONATOMIC_ENV = {"phi": -0.8, "chi": -0.1, "delta": 0.2, "x": 0.5}
+POINT_POLICIES = {
+    "expodamp": {"alpha": 0.3, "initial": (0.25,)},
+    "average": {"prior": (0.7,)},
+    "naive": {"initial": (0.1,)},
+    "kalman": LINEAR_ENV,
+}
+
+
+class TestPointLoop:
+    """Point runs pass bare value tuples through the loop; records must be the PointForecast run's."""
+
+    @pytest.mark.parametrize(
+        "setting, policy",
+        [*(("linear", name) for name in POINT_POLICIES),
+         *(("nonatomic", name) for name in ("expodamp", "average", "naive"))],
+    )
+    def test_records_equal_the_point_forecast_loop(self, setting, policy):
+        env_params = LINEAR_ENV if setting == "linear" else NONATOMIC_ENV
+        for seed, stages in [(0, 1), (1, 2), (2, 301)]:
+            cfg = SimConfig(
+                setting=setting, policy=policy, policy_params=POINT_POLICIES[policy],
+                env_params=env_params, stages=stages, seed=seed,
+            )
+            traj = run_dynamic(cfg)
+            assert traj.records == tuple(point_forecast_reference(cfg))
+            assert isinstance(traj.final.a, PointForecast)
+            assert all(
+                isinstance(rec.a, PointForecast) and isinstance(rec.y, PointForecast)
+                for rec in traj.records
+            )
+            finals = monte_carlo(cfg, n_runs=3).final_forecasts
+            assert all(isinstance(a, PointForecast) for a in finals)
+            assert finals == tuple(run_dynamic(cfg, run_index=k).final.a for k in range(3))
 
 
 class TestMonteCarlo:
