@@ -2,7 +2,9 @@
 
 Nash checks are brute force over all joint profiles, the potential is the
 per-slot cumulative utility sum, and the fixed-point solver is a sign-scan
-plus bisection. These never share code paths with the policies they verify.
+plus bisection. They call nothing in the policies or the engine, but code is
+shared the other way: partpred takes its candidates from ``candidate_set``,
+and the engine's ``nash`` loss calls ``is_nash`` or ``is_bne``.
 """
 
 from __future__ import annotations

@@ -21,11 +21,9 @@ from typing import Iterator, Mapping, Sequence
 from . import analysis
 from .core import (
     CrowdcastError,
-    DegenerateGainError,
     DiscreteDistribution,
     EmptyInputError,
     InvalidConfigError,
-    InvalidParameterError,
     ParseError,
     TooLargeError,
     as_int,
@@ -39,13 +37,11 @@ from .engine import (
     SimConfig,
     Trajectory,
     build_game,
-    game_table_keys,
     monte_carlo,
     policy_summary,
     replay,
     run_dynamic,
 )
-from .environments import FiniteCongestionGame
 from .policies import POLICIES
 
 logger = logging.getLogger("crowdcast")
@@ -142,15 +138,6 @@ def _read_section(
     return read_params(parser[section], spec, f"{path}: {section}")
 
 
-def _game_section(path: str, parser: configparser.ConfigParser, section: str) -> FiniteCongestionGame:
-    if not parser.has_section(section):
-        raise InvalidConfigError(f"{path}: missing [{section}] section")
-    sec = parser[section]
-    game = build_game(sec, f"{path}: {section}")
-    _check_keys(path, section, list(sec.keys()), game_table_keys(game.d))
-    return game
-
-
 def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
     """Parse a [run]/[policy]/[environment] simulation config file."""
     if seed_override is not None and seed_override < 0:
@@ -181,7 +168,8 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
     policy_params = _read_section(path, parser, "policy", POLICIES[name].PARAMS, extra=("name",))
 
     if setting == "finite-game":
-        env_params: dict[str, object] = {"game": _game_section(path, parser, "environment")}
+        game = build_game(parser["environment"], f"{path}: environment")
+        env_params: dict[str, object] = {"game": game}
     else:
         env_params = _read_section(path, parser, "environment", ENVS[setting].PARAMS)
 
@@ -242,7 +230,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
     try:
         traj = run_dynamic(config)
-    except (InvalidConfigError, InvalidParameterError, DegenerateGainError) as exc:
+    except CrowdcastError as exc:
         raise type(exc)(f"{args.config}: {exc}") from None
     loss_names = config.losses()
     if args.out:
@@ -299,12 +287,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     Replay mode: the recorded observations are not influenced by the
     forecasts, so this measures forecasting accuracy only, not coordination.
+    A replay error names the config file, or the data file when there is none.
     """
     matrix = parse_day_csv(args.data)
     specs = _evaluate_specs(args.config)
     results = []
     for name, params in specs:
-        traj = replay(name, params, matrix.rows)
+        try:
+            traj = replay(name, params, matrix.rows)
+        except CrowdcastError as exc:
+            raise type(exc)(f"{args.config or args.data}: {exc}") from None
         results.append((name, trajectory_mse(traj.records)))
     width = max(len(name) for name, _ in results)
     print("replay mode: forecasts do not influence the recorded data")
@@ -324,7 +316,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     parser = _read_ini(args.config)
     section = "game" if parser.has_section("game") else "environment"
-    game = _game_section(args.config, parser, section)
+    if not parser.has_section(section):
+        raise InvalidConfigError(f"{args.config}: missing [{section}] section")
+    game = build_game(parser[section], f"{args.config}: {section}")
     try:
         report = analysis.prediction_equilibrium_report(game)
     except TooLargeError as exc:
@@ -357,7 +351,7 @@ def cmd_monte_carlo(args: argparse.Namespace) -> int:
         raise InvalidConfigError(f"--runs: need at least one run, got {args.runs}")
     try:
         summary = monte_carlo(config, n_runs=args.runs)
-    except (InvalidConfigError, InvalidParameterError, DegenerateGainError) as exc:
+    except CrowdcastError as exc:
         raise type(exc)(f"{args.config}: {exc}") from None
     print(f"runs={summary.n_runs}")
     for name in sorted(summary.loss_means):

@@ -269,13 +269,13 @@ def euclidean_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> floa
     return math.sqrt(math.fsum((p.prob(k) - q.prob(k)) ** 2 for k in keys))
 
 
-def point_pred_loss(a: PointForecast, y_mean: Sequence[float]) -> float:
-    """Squared Euclidean distance between a point forecast and a mean outcome."""
+def point_pred_loss(a: PointForecast | Sequence[float], y_mean: Sequence[float]) -> float:
+    """Squared Euclidean distance between a point forecast, or its values, and a mean outcome."""
     y = tuple(float(v) for v in y_mean)
     if len(y) != len(a):
         raise ShapeError(f"forecast has {len(a)} entries, outcome mean has {len(y)}")
     try:
-        return math.fsum((av - yv) ** 2 for av, yv in zip(a.values, y))
+        return math.fsum((av - yv) ** 2 for av, yv in zip(a, y))
     except OverflowError:  # a squared error beyond the float range
         return math.inf
 

@@ -106,20 +106,7 @@ class Trajectory:
 
 
 def config_hash(config: SimConfig) -> str:
-    payload = json.dumps(
-        {
-            "setting": config.setting,
-            "policy": config.policy,
-            "policy_params": config.policy_params,
-            "env_params": config.env_params,
-            "stages": config.stages,
-            "seed": config.seed,
-            "covariate": config.covariate,
-            "log_losses": config.log_losses,
-        },
-        sort_keys=True,
-        default=repr,
-    )
+    payload = json.dumps(vars(config), sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -193,11 +180,30 @@ class _NonatomicEnv(_ScalarEnv):
         return (self.last_mean,)
 
 
+def _reject_unknown_keys(
+    section: str, params: Mapping[str, object], allowed: Collection[str]
+) -> None:
+    for key in params:
+        if key not in allowed:
+            raise InvalidConfigError(
+                f"{section}.{key}: unknown parameter; allowed: {', '.join(sorted(allowed))}"
+            )
+
+
+def _check_opening(section: str, params: Mapping[str, object], width: int) -> None:
+    """An opening forecast, initial or prior, must hold one value per outcome entry."""
+    for key in {"initial", "prior"} & set(params):
+        n = len(as_floats(params[key], f"{section}.{key}"))
+        if n != width:
+            raise InvalidConfigError(f"{section}.{key}: expected {width} value(s), got {n}")
+
+
 def build_game(
     params: Mapping[str, object], section: str = "environment"
 ) -> FiniteCongestionGame | BayesianCongestionGame:
-    """The object under "game", else the players/slots/slot_k table; section prefixes errors."""
+    """The "game" object alone, else the players/slots/slot_k table; section prefixes errors."""
     if "game" in params:
+        _reject_unknown_keys(section, params, ("game",))
         game = params["game"]
         if not isinstance(game, (FiniteCongestionGame, BayesianCongestionGame)):
             raise InvalidConfigError(f"{section}.game: not a congestion game object")
@@ -211,15 +217,12 @@ def build_game(
         if len(row) != n:
             raise InvalidConfigError(f"{section}.{key}: expected {n} utilities, got {len(row)}")
         rows.append(row)
+    # after the rows, so the allowed keys are never more than the table holds
+    _reject_unknown_keys(section, params, {"players", "slots", *(f"slot_{k}" for k in range(d))})
     try:
         return FiniteCongestionGame(n=n, d=d, utility=tuple(rows))
     except InvalidParameterError as exc:
         raise InvalidConfigError(f"{section}: {exc}") from None
-
-
-def game_table_keys(d: int) -> set[str]:
-    """Keys of a players/slots/slot_k game table with d slots."""
-    return {"players", "slots", *(f"slot_{k}" for k in range(d))}
 
 
 # Bayesian type samples are drawn for this many stages at a time.
@@ -240,8 +243,6 @@ class _FiniteGameEnv:
         self._nash_cache: dict[DiscreteDistribution, float] = {}
         if self.bayesian:
             self._profiles: dict[JointProfile, JointProfile] = {}
-            self._last_a: DiscreteDistribution | None = None
-            self._last_plays: list[JointProfile] = []
             self._combo_ids: Iterator[int] = iter(())
             # Per player: cumulative prior, the last type of positive probability
             # (a draw at or above the rounded-down top of the cdf maps to it) and
@@ -269,8 +270,6 @@ class _FiniteGameEnv:
         Equal profiles are one object across forecasts, so the policy's tallies
         find them by identity.
         """
-        if a is self._last_a:  # partpred repeats one forecast object for r stages
-            return self._last_plays
         plays = self._play_cache.get(a)
         if plays is None:
             intern = self._profiles.setdefault
@@ -279,7 +278,6 @@ class _FiniteGameEnv:
                 c = bayes_play_profile(self.game, a, types)
                 plays.append(intern(c, c))
             self._play_cache[a] = plays
-        self._last_a, self._last_plays = a, plays
         return plays
 
     def _draw_combo_ids(self) -> list[int]:
@@ -296,14 +294,7 @@ class _FiniteGameEnv:
         return ids.tolist()
 
     def respond(self, a: DiscreteDistribution) -> JointProfile:
-        if not self.bayesian:
-            return self.exact_response(a).support[0]
-        plays = self._plays(a)
-        combo_id = next(self._combo_ids, None)
-        if combo_id is None:
-            self._combo_ids = iter(self._draw_combo_ids())
-            combo_id = next(self._combo_ids)
-        return plays[combo_id]
+        return self.respond_many(a, 1)[0]
 
     def respond_many(self, a: DiscreteDistribution, h: int) -> list[JointProfile]:
         """The outcomes of h stages that all announce a: h calls of respond in one."""
@@ -346,16 +337,6 @@ ENVS = {
 SETTINGS = tuple(ENVS)
 
 
-def _reject_unknown_keys(
-    section: str, params: Mapping[str, object], allowed: Collection[str]
-) -> None:
-    for key in params:
-        if key not in allowed:
-            raise InvalidConfigError(
-                f"{section}.{key}: unknown parameter; allowed: {', '.join(sorted(allowed))}"
-            )
-
-
 def _validate(config: SimConfig) -> None:
     if config.setting not in SETTINGS:
         raise InvalidConfigError(
@@ -378,19 +359,9 @@ def _validate(config: SimConfig) -> None:
                 f"run.losses: {name!r} not available in the {config.setting} setting"
             )
     _reject_unknown_keys("policy", config.policy_params, policies.POLICIES[config.policy].PARAMS)
-    if env_cls.kind == "point":  # a scalar outcome takes a one-value opening forecast
-        for key in {"initial", "prior"} & set(config.policy_params):
-            n = len(as_floats(config.policy_params[key], f"policy.{key}"))
-            if n != 1:
-                raise InvalidConfigError(f"policy.{key}: a scalar setting takes one value, got {n}")
-    if env_cls is not _FiniteGameEnv:
-        env_keys = env_cls.PARAMS
-    elif "game" in config.env_params:
-        env_keys = {"game"}
-    else:
-        slots = read_params(config.env_params, {"slots": as_int}, "environment", ("slots",))
-        env_keys = game_table_keys(slots["slots"])
-    _reject_unknown_keys("environment", config.env_params, env_keys)
+    if env_cls.kind == "point":  # build_game checks a game's keys as it reads them
+        _check_opening("policy", config.policy_params, 1)
+        _reject_unknown_keys("environment", config.env_params, env_cls.PARAMS)
     if config.stages < 1:
         raise InvalidConfigError("run.stages: need at least one stage")
     if config.seed < 0:
@@ -401,13 +372,13 @@ def _start(config: SimConfig, run_index: int):
     """The environment and policy of one run, each with its own generator."""
     _validate(config)
     seq = np.random.SeedSequence(entropy=(config.seed, run_index))
-    env_seed, policy_seed = seq.spawn(2)
-    env = ENVS[config.setting](config.env_params, np.random.default_rng(env_seed))
+    env_rng, policy_rng = map(np.random.default_rng, seq.spawn(2))
+    env = ENVS[config.setting](config.env_params, env_rng)
     policy_cls = policies.POLICIES[config.policy]
-    return env, policy_cls.from_params(config.policy_params, np.random.default_rng(policy_seed), env)
+    return env, policy_cls.from_params(config.policy_params, policy_rng, env, "policy")
 
 
-def _holds(config: SimConfig, env, policy) -> Iterator[tuple[object, list]]:
+def _holds(w: str, stages: int, env, policy) -> Iterator[tuple[object, list]]:
     """Run the stages, yielding (a, ys) per hold: the outcomes ys of stages that all announce a.
 
     The policy is asked for its forecast strictly before the environment
@@ -417,7 +388,6 @@ def _holds(config: SimConfig, env, policy) -> Iterator[tuple[object, list]]:
     An InvalidParameterError, such as a non-finite forecast or outcome, or a
     DegenerateGainError is raised again naming the stage it came from.
     """
-    w, stages = config.covariate, config.stages
     t = 0
     y_prev: object = None
     try:
@@ -436,30 +406,37 @@ def _holds(config: SimConfig, env, policy) -> Iterator[tuple[object, list]]:
         raise type(exc)(f"stage {t}: {exc}") from None
 
 
-def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
-    """Run the repeated system for config.stages stages.
+def _trajectory(w: str, stages: int, env, policy, names: Sequence[str], digest: str) -> Trajectory:
+    """Run the stages and keep them as columns, with each loss an env method of the forecast.
 
     Each loss is scored once per hold: only finite-game policies hold for more
     than one stage, and the finite-game losses depend on the forecast alone.
     """
-    env, policy = _start(config, run_index)
-    loss_fns = [(getattr(env, name), []) for name in config.losses()]
+    loss_fns = [(getattr(env, name), []) for name in names]
     a_col: list[object] = []
     y_col: list[object] = []
-    for a, ys in _holds(config, env, policy):
+    for a, ys in _holds(w, stages, env, policy):
         h = len(ys)
         a_col += [a] * h
         y_col += ys
         for loss_fn, col in loss_fns:
             col += [loss_fn(a)] * h
-    losses = {name: col for name, (_, col) in zip(config.losses(), loss_fns)}
-    return Trajectory(a_col, y_col, losses, config_hash(config), config.covariate)
+    losses = {name: col for name, (_, col) in zip(names, loss_fns)}
+    return Trajectory(a_col, y_col, losses, digest, w)
+
+
+def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
+    """Run the repeated system for config.stages stages."""
+    env, policy = _start(config, run_index)
+    return _trajectory(
+        config.covariate, config.stages, env, policy, config.losses(), config_hash(config)
+    )
 
 
 def policy_summary(config: SimConfig, run_index: int = 0) -> dict[str, object]:
-    """Re-run and report the policy's final internal flags (cheap, deterministic)."""
+    """Re-run the whole simulation and report the policy's final internal flags."""
     env, policy = _start(config, run_index)
-    for _ in _holds(config, env, policy):
+    for _ in _holds(config.covariate, config.stages, env, policy):
         pass
     return policy.summary()
 
@@ -527,17 +504,38 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
 REPLAY_OPENING = {"average": "prior", "expodamp": "initial", "naive": "initial"}
 
 
+class _RecordedEnv:
+    """Recorded rows as a setting: stage t's outcome is row t, whatever was announced."""
+
+    kind = "point"
+
+    def __init__(self, rows: Sequence[Sequence[float]]):
+        self.rows = enumerate(rows)
+        self.width = len(rows[0])
+
+    def respond(self, a: tuple[float, ...]) -> tuple[float, ...]:
+        t, row = next(self.rows)
+        if len(row) != self.width:
+            raise InvalidConfigError(f"replay: row {t} has {len(row)} cells, expected {self.width}")
+        self.row = PointForecast(row).values
+        return self.row
+
+    def point_pred(self, a: tuple[float, ...]) -> float:
+        return point_pred_loss(a, self.row)
+
+
 def replay(
     policy_name: str,
     policy_params: Mapping[str, object],
     observations: Sequence[Sequence[float]],
     covariate: str = "w0",
 ) -> Trajectory:
-    """Feed a recorded observation stream to a point-forecast policy.
+    """Run a point-forecast policy against a recorded observation stream.
 
     The data is not influenced by the forecasts, so this evaluates forecasting
     accuracy only; squared errors against the recorded rows are logged as
-    point_pred.
+    point_pred. Errors name the policy: a key as policy_name.key, a stage that
+    diverged as "policy_name: stage t: ...".
     """
     if len(observations) == 0:
         raise InvalidConfigError("replay: empty observation stream")
@@ -546,17 +544,13 @@ def replay(
             f"replay: policy {policy_name!r} not supported; "
             f"valid names: {', '.join(REPLAY_OPENING)}"
         )
-    width = len(observations[0])
-    params = {REPLAY_OPENING[policy_name]: (0.0,) * width, **policy_params}
-    policy = policies.POLICIES[policy_name].from_params(params, np.random.default_rng(0), None)
-    a_col, y_col, loss_col = [], [], []
-    y_prev = None
-    for t, row in enumerate(observations):
-        if len(row) != width:
-            raise InvalidConfigError(f"replay: row {t} has {len(row)} cells, expected {width}")
-        a = PointForecast(policy.forecast(covariate, y_prev))
-        y_prev = PointForecast(tuple(row)).values
-        a_col.append(a.values)
-        y_col.append(y_prev)
-        loss_col.append(point_pred_loss(a, y_prev))
-    return Trajectory(a_col, y_col, {"point_pred": loss_col}, "replay", covariate)
+    env = _RecordedEnv(observations)
+    policy_cls = policies.POLICIES[policy_name]
+    _reject_unknown_keys(policy_name, policy_params, policy_cls.PARAMS)
+    _check_opening(policy_name, policy_params, env.width)
+    params = {REPLAY_OPENING[policy_name]: (0.0,) * env.width, **policy_params}
+    policy = policy_cls.from_params(params, np.random.default_rng(0), env, policy_name)
+    try:
+        return _trajectory(covariate, len(observations), env, policy, ("point_pred",), "replay")
+    except InvalidParameterError as exc:
+        raise type(exc)(f"{policy_name}: {exc}") from None

@@ -3,8 +3,9 @@
 Each policy is one mutable state class with one interface:
 
 - ``PARAMS`` maps each config key the policy reads to its converter;
-- ``from_params(params, rng, env)`` builds the state for one run from those
-  keys, the run's policy generator and the environment adapter;
+- ``from_params(params, rng, env, section)`` builds the state for one run from
+  those keys, the run's policy generator and the environment adapter, naming
+  a bad key as ``section.key``;
 - ``forecast(w, y_prev)`` announces the forecast for covariate w, given the
   previous stage's outcome (None on the first stage); point policies take and
   announce bare value tuples, the ``values`` of a ``PointForecast``;
@@ -76,8 +77,8 @@ class ExpodampState(_EveryStage):
             raise InvalidParameterError("alpha must be finite")
 
     @classmethod
-    def from_params(cls, params, rng, env) -> "ExpodampState":
-        p = read_params(params, cls.PARAMS, "policy", ("alpha",))
+    def from_params(cls, params, rng, env, section) -> "ExpodampState":
+        p = read_params(params, cls.PARAMS, section, ("alpha",))
         return cls(a=PointForecast(p.get("initial", (0.0,))), alpha=p["alpha"])
 
     def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
@@ -107,17 +108,17 @@ def naive_step(y_prev: object) -> Forecast:
     return PointForecast(observation_values(y_prev))
 
 
-def _opening_profile(params: Mapping[str, object], env) -> DiscreteDistribution:
+def _opening_profile(params: Mapping[str, object], env, section: str) -> DiscreteDistribution:
     """Dirac on initial_profile, which must name one of the game's slots for each player."""
     spec = {"initial_profile": as_slots}
-    slots = read_params(params, spec, "policy", ("initial_profile",))["initial_profile"]
+    slots = read_params(params, spec, section, ("initial_profile",))["initial_profile"]
     game = env.game
     if len(slots) == game.n and min(slots) >= 0:
         profile = JointProfile(slots)
         if profile.within_slots(game.d):
             return DiscreteDistribution.dirac(profile)
     raise InvalidConfigError(
-        f"policy.initial_profile: expected one slot in 0..{game.d - 1} "
+        f"{section}.initial_profile: expected one slot in 0..{game.d - 1} "
         f"for each of the {game.n} players, got {' '.join(map(str, slots))!r}"
     )
 
@@ -131,10 +132,10 @@ class NaiveState(_EveryStage):
     PARAMS = {"initial": as_floats, "initial_profile": as_slots}
 
     @classmethod
-    def from_params(cls, params, rng, env) -> "NaiveState":
-        if env is not None and env.kind == "profile":
-            return cls(_opening_profile(params, env))
-        p = read_params(params, cls.PARAMS, "policy", ("initial",))
+    def from_params(cls, params, rng, env, section) -> "NaiveState":
+        if env.kind == "profile":
+            return cls(_opening_profile(params, env, section))
+        p = read_params(params, cls.PARAMS, section, ("initial",))
         return cls(PointForecast(p["initial"]).values)
 
     def forecast(self, w: str, y_prev: object) -> tuple[float, ...] | DiscreteDistribution:
@@ -155,8 +156,8 @@ class AverageState(_EveryStage):
     PARAMS = {"prior": as_floats}
 
     @classmethod
-    def from_params(cls, params, rng, env) -> "AverageState":
-        p = read_params(params, cls.PARAMS, "policy")
+    def from_params(cls, params, rng, env, section) -> "AverageState":
+        p = read_params(params, cls.PARAMS, section)
         return cls(prior=PointForecast(p.get("prior", (0.0,))))
 
     def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
@@ -189,8 +190,8 @@ class EmpiricalDistributionState(_EveryStage):
     PARAMS = {"initial_profile": as_slots}
 
     @classmethod
-    def from_params(cls, params, rng, env) -> "EmpiricalDistributionState":
-        return cls(prior=_opening_profile(params, env))
+    def from_params(cls, params, rng, env, section) -> "EmpiricalDistributionState":
+        return cls(prior=_opening_profile(params, env, section))
 
     def forecast(self, w: str, y_prev: object) -> Forecast:
         if y_prev is None:
@@ -230,8 +231,8 @@ class KalmanPolicyState(_EveryStage):
             raise InvalidParameterError("variances must be nonnegative")
 
     @classmethod
-    def from_params(cls, params, rng, env) -> "KalmanPolicyState":
-        p = read_params(params, cls.PARAMS, "policy", ("beta", "gamma", "x0_mean"))
+    def from_params(cls, params, rng, env, section) -> "KalmanPolicyState":
+        p = read_params(params, cls.PARAMS, section, ("beta", "gamma", "x0_mean"))
         state, a0 = kalman_init(**{"var_ex": 0.0, "var_ey": 0.0, "x0_var": 0.0, **p})
         state.a_prev = a0
         return state
@@ -415,12 +416,12 @@ class PartpredState:
             raise InvalidConfigError("partpred.candidates: empty candidate set")
 
     @classmethod
-    def from_params(cls, params, rng, env) -> "PartpredState":
-        p = read_params(params, cls.PARAMS, "policy", ("r",))
+    def from_params(cls, params, rng, env, section) -> "PartpredState":
+        p = read_params(params, cls.PARAMS, section, ("r",))
         update = p.get("update", "congestion")
         if update == "congestion" and env.bayesian:
             raise InvalidConfigError(
-                "policy.update: the congestion update needs a complete-information game"
+                f"{section}.update: the congestion update needs a complete-information game"
             )
         return cls(
             candidates=list(analysis.candidate_set(env.game)),

@@ -332,11 +332,15 @@ NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
          "policy.prior"),
         ("monte-carlo", LINEAR_RUN + "[policy]\nname = average\nprior = 0.1 0.2\n" + LINEAR_ENV,
          "policy.prior"),
+        # an opening forecast narrower or wider than the two-column day matrix
+        ("evaluate", "[evaluate]\npolicies = naive\n[naive]\ninitial = 1 2 3\n", "naive.initial"),
+        ("evaluate", "[evaluate]\npolicies = average\n[average]\nprior = 1\n", "average.prior"),
     ],
     ids=[
         "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
         "profile-slot-out-of-range", "negative-seed", "no-policies", "vector-initial-linear",
         "vector-initial-nonatomic", "vector-prior-nonatomic", "vector-prior-linear",
+        "wide-initial-evaluate", "narrow-prior-evaluate",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
@@ -419,6 +423,44 @@ def test_diverging_kalman_run_exits_2_naming_file_and_stage(tmp_path, capsys, ar
     assert main(argv + ["--config", config]) == 2
     err = capsys.readouterr().err
     assert f"error: {config}: stage 993: point forecast entries must be finite" in err
+
+
+def test_evaluate_errors_name_the_file_and_the_policy_section(tmp_path, capsys):
+    data = write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")
+    config = write(tmp_path / "e.ini", "[evaluate]\npolicies = expodamp\n")
+    assert main(["evaluate", "--data", data, "--config", config]) == 2
+    assert f"error: {config}: expodamp.alpha: required parameter missing" in capsys.readouterr().err
+    # stage 1 forecasts 1e308 times the first row, whose 2 takes it beyond the float range
+    config = write(
+        tmp_path / "e.ini", "[evaluate]\npolicies = average expodamp\n[expodamp]\nalpha = 1e308\n"
+    )
+    assert main(["evaluate", "--data", data, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: expodamp: stage 1: point forecast entries must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["monte-carlo", "--runs", "2"]], ids=["simulate", "monte-carlo"]
+)
+def test_enumeration_guard_exits_2_naming_the_file(tmp_path, capsys, argv):
+    slots = "".join(f"slot_{k} = {' '.join(['-1'] * 13)}\n" for k in range(3))
+    config = write(
+        tmp_path / "big.ini", GAME_RUN + "[environment]\nplayers = 13\nslots = 3\n" + slots
+    )
+    assert main(argv + ["--config", config]) == 2
+    assert f"error: {config}: 3^13 profiles exceed the enumeration guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, section",
+    [(["simulate"], "environment"), (["analyze"], "game")],
+    ids=["simulate", "analyze"],
+)
+def test_slot_beyond_the_game_exits_2_naming_file_and_key(tmp_path, capsys, argv, section):
+    table = GAME_ENV.replace("[environment]", f"[{section}]") + "slot_2 = -1 -2\n"
+    config = write(tmp_path / "game.ini", (GAME_RUN if section == "environment" else "") + table)
+    assert main(argv + ["--config", config]) == 2
+    assert f"{config}: {section}.slot_2: unknown parameter" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

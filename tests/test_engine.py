@@ -391,7 +391,7 @@ class TestHoldLoop:
         assert run_dynamic(cfg).records == tuple(records)
         assert policy_summary(cfg) == reference.summary()
         env, policy = _start(cfg, 0)
-        assert sum(len(ys) for _, ys in _holds(cfg, env, policy)) == cfg.stages
+        assert sum(len(ys) for _, ys in _holds(cfg.covariate, cfg.stages, env, policy)) == cfg.stages
         assert policy.per_w == reference.per_w  # tallies, group counts and candidate walk
 
     # With r = 2 or r = 200 these stage counts end inside a group.
@@ -554,6 +554,10 @@ class TestReplay:
         traj = replay("expodamp", {"alpha": 0.4}, rows)
         direct = sum(rec.losses["point_pred"] for rec in traj) / len(traj)
         assert trajectory_mse(traj.records) == pytest.approx(direct, rel=1e-12)
+
+    def test_unknown_policy_key_rejected(self):
+        with pytest.raises(InvalidConfigError, match="expodamp.alpah: unknown parameter"):
+            replay("expodamp", {"alpha": 0.5, "alpah": 9}, [(1.0,), (2.0,)])
 
     def test_unknown_replay_policy(self):
         with pytest.raises(InvalidConfigError, match="valid names"):
