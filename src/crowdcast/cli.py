@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import logging
 import math
 import os
@@ -25,24 +26,23 @@ from .core import (
     EmptyInputError,
     InvalidConfigError,
     ParseError,
-    TooLargeError,
+    _reject_unknown_keys,
     as_int,
     read_params,
     trajectory_mse,
 )
 from .engine import (
-    ENVS,
-    REPLAY_OPENING,
-    SETTINGS,
     SimConfig,
     Trajectory,
+    _RecordedEnv,
     build_game,
     monte_carlo,
+    policy_keys,
     policy_summary,
     replay,
     run_dynamic,
+    setting_env,
 )
-from .policies import POLICIES
 
 logger = logging.getLogger("crowdcast")
 
@@ -121,21 +121,22 @@ def _read_ini(path: str) -> configparser.ConfigParser:
         raise InvalidConfigError(f"{path}: {exc}")
     return parser
 
-def _check_keys(path: str, section: str, present: Sequence[str], allowed: set[str]) -> None:
-    for key in present:
-        if key not in allowed:
-            raise InvalidConfigError(
-                f"{path}: [{section}] has unknown key {key!r}; allowed: {', '.join(sorted(allowed))}"
-            )
+
+@contextlib.contextmanager
+def _in_file(path: str) -> Iterator[None]:
+    """Raise each CrowdcastError of the block again with path in front."""
+    try:
+        yield
+    except CrowdcastError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_section(
-    path: str, parser: configparser.ConfigParser, section: str, spec: Mapping,
-    extra: Sequence[str] = (),
+    parser: configparser.ConfigParser, section: str, spec: Mapping, extra: Sequence[str] = ()
 ) -> dict[str, object]:
     """Convert the keys of [section] that spec names; a key outside spec and extra is an error."""
-    _check_keys(path, section, list(parser[section].keys()), {*spec, *extra})
-    return read_params(parser[section], spec, f"{path}: {section}")
+    _reject_unknown_keys(section, parser[section], {*spec, *extra})
+    return read_params(parser[section], spec, section)
 
 
 def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
@@ -143,35 +144,24 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
     if seed_override is not None and seed_override < 0:
         raise InvalidConfigError(f"--seed: expected a nonnegative integer, got {seed_override}")
     parser = _read_ini(path)
-    for section in ("run", "policy", "environment"):
-        if not parser.has_section(section):
-            raise InvalidConfigError(f"{path}: missing [{section}] section")
-    run = parser["run"]
-    _check_keys(path, "run", list(run.keys()), _RUN_KEYS)
-    setting = run.get("setting")
-    if setting not in SETTINGS:
-        raise InvalidConfigError(
-            f"{path}: run.setting must be one of {', '.join(SETTINGS)}, got {setting!r}"
-        )
-    counts = read_params(
-        run, {"stages": as_int, "seed": as_int}, f"{path}: run", ("stages", "seed")
-    )
+    with _in_file(path):
+        for section in ("run", "policy", "environment"):
+            if not parser.has_section(section):
+                raise InvalidConfigError(f"missing [{section}] section")
+        run = parser["run"]
+        _reject_unknown_keys("run", run, _RUN_KEYS)
+        setting, name = run.get("setting"), parser["policy"].get("name")
+        env_cls = setting_env(setting)
+        keys = policy_keys(env_cls, name, "policy.name", f"setting {setting!r}")
+        counts = read_params(run, {"stages": as_int, "seed": as_int}, "run", ("stages", "seed"))
+        policy_params = _read_section(parser, "policy", keys, extra=("name",))
+        if setting == "finite-game":
+            env_params: dict[str, object] = {"game": build_game(parser["environment"])}
+        else:
+            env_params = _read_section(parser, "environment", env_cls.PARAMS)
     losses = None
     if run.get("losses") is not None:
         losses = tuple(run.get("losses").replace(",", " ").split())
-
-    name = parser["policy"].get("name")
-    if name not in POLICIES:
-        raise InvalidConfigError(
-            f"{path}: policy.name {name!r} unknown; valid names: {', '.join(sorted(POLICIES))}"
-        )
-    policy_params = _read_section(path, parser, "policy", POLICIES[name].PARAMS, extra=("name",))
-
-    if setting == "finite-game":
-        game = build_game(parser["environment"], f"{path}: environment")
-        env_params: dict[str, object] = {"game": game}
-    else:
-        env_params = _read_section(path, parser, "environment", ENVS[setting].PARAMS)
 
     return SimConfig(
         setting=setting,
@@ -228,10 +218,8 @@ def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
-    try:
+    with _in_file(args.config):
         traj = run_dynamic(config)
-    except CrowdcastError as exc:
-        raise type(exc)(f"{args.config}: {exc}") from None
     loss_names = config.losses()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -260,25 +248,17 @@ def _evaluate_specs(path: str | None) -> list[tuple[str, dict[str, object]]]:
     if path is None:
         return [("expodamp", {"alpha": 0.3}), ("average", {})]
     parser = _read_ini(path)
-    if not parser.has_section("evaluate"):
-        raise InvalidConfigError(f"{path}: missing [evaluate] section")
-    _check_keys(path, "evaluate", list(parser["evaluate"].keys()), {"policies"})
-    names = parser["evaluate"].get("policies", "").replace(",", " ").split()
-    if not names:
-        raise InvalidConfigError(f"{path}: evaluate.policies: expected at least one policy name")
     specs = []
-    for name in names:
-        if name not in REPLAY_OPENING:
-            raise InvalidConfigError(
-                f"{path}: evaluate policy {name!r} unknown; valid names: "
-                f"{', '.join(sorted(REPLAY_OPENING))}"
-            )
-        params: dict[str, object] = {}
-        if parser.has_section(name):
-            # replayed observations are point vectors, so profile keys do not apply
-            spec = {k: v for k, v in POLICIES[name].PARAMS.items() if k != "initial_profile"}
-            params = _read_section(path, parser, name, spec)
-        specs.append((name, params))
+    with _in_file(path):
+        if not parser.has_section("evaluate"):
+            raise InvalidConfigError("missing [evaluate] section")
+        _reject_unknown_keys("evaluate", parser["evaluate"], {"policies"})
+        names = parser["evaluate"].get("policies", "").replace(",", " ").split()
+        if not names:
+            raise InvalidConfigError("evaluate.policies: expected at least one policy name")
+        for name in names:
+            keys = policy_keys(_RecordedEnv, name, "evaluate.policies", "replay")
+            specs.append((name, _read_section(parser, name, keys) if parser.has_section(name) else {}))
     return specs
 
 
@@ -293,10 +273,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     specs = _evaluate_specs(args.config)
     results = []
     for name, params in specs:
-        try:
+        with _in_file(args.config or args.data):
             traj = replay(name, params, matrix.rows)
-        except CrowdcastError as exc:
-            raise type(exc)(f"{args.config or args.data}: {exc}") from None
         results.append((name, trajectory_mse(traj.records)))
     width = max(len(name) for name, _ in results)
     print("replay mode: forecasts do not influence the recorded data")
@@ -316,13 +294,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     parser = _read_ini(args.config)
     section = "game" if parser.has_section("game") else "environment"
-    if not parser.has_section(section):
-        raise InvalidConfigError(f"{args.config}: missing [{section}] section")
-    game = build_game(parser[section], f"{args.config}: {section}")
-    try:
+    with _in_file(args.config):
+        if not parser.has_section(section):
+            raise InvalidConfigError(f"missing [{section}] section")
+        game = build_game(parser[section], section)
         report = analysis.prediction_equilibrium_report(game)
-    except TooLargeError as exc:
-        raise TooLargeError(f"{args.config}: {exc}") from None
     print(f"game: {game.n} players, {game.d} slots")
     strict = set(report.strict_nash)
     ne_cells = [
@@ -349,10 +325,8 @@ def cmd_monte_carlo(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
     if args.runs < 1:
         raise InvalidConfigError(f"--runs: need at least one run, got {args.runs}")
-    try:
+    with _in_file(args.config):
         summary = monte_carlo(config, n_runs=args.runs)
-    except CrowdcastError as exc:
-        raise type(exc)(f"{args.config}: {exc}") from None
     print(f"runs={summary.n_runs}")
     for name in sorted(summary.loss_means):
         print(

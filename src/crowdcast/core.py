@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Sequence
 
 
 class CrowdcastError(Exception):
@@ -114,6 +114,16 @@ def read_params(
     return {
         key: convert(params[key], f"{section}.{key}") for key, convert in spec.items() if key in params
     }
+
+
+def _reject_unknown_keys(
+    section: str, params: Mapping[str, object], allowed: Collection[str]
+) -> None:
+    for key in params:
+        if key not in allowed:
+            raise InvalidConfigError(
+                f"{section}.{key}: unknown parameter; allowed: {', '.join(sorted(allowed))}"
+            )
 
 
 # Tolerance used for "two discrete distributions are the same" checks.

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .core import (
     PointForecast,
     ShapeError,
     StageRecord,
+    _reject_unknown_keys,
     as_float,
     as_floats,
     as_int,
@@ -38,6 +39,7 @@ from .core import (
     tv_distance,
 )
 from .environments import (
+    LINEAR_PARAMS,
     BayesianCongestionGame,
     FiniteCongestionGame,
     LinearAggregateEnv,
@@ -123,8 +125,11 @@ def closed_form_trajectory(
 
 
 # --- environment adapters ------------------------------------------------------
-# Each adapter describes its setting: the policies it accepts, the keys it reads and
-# its LOSSES, each a method that run_dynamic calls with the forecast after respond.
+# Each adapter describes its setting: the policies it runs (POLICIES), the environment
+# keys it reads (PARAMS, where they are not a game table), the number of entries of its
+# point outcomes (width), whether those outcomes are recorded data (recorded) and its
+# LOSSES, each a method that run_dynamic calls with the forecast after respond. Its kind
+# picks the keys of each policy's PARAMS it takes.
 
 
 def _scalar(a: tuple[float, ...]) -> tuple[float]:
@@ -140,6 +145,8 @@ class _ScalarEnv:
     """A setting whose forecasts and outcomes are one real number, kept as a bare 1-tuple."""
 
     kind = "point"
+    width = 1
+    recorded = False
     LOSSES = ("point_pred",)
 
     def point_pred(self, a: tuple[float, ...]) -> float:
@@ -152,7 +159,7 @@ class _ScalarEnv:
 
 class _LinearEnv(_ScalarEnv):
     POLICIES = ("expodamp", "average", "naive", "kalman")
-    PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
+    PARAMS = LINEAR_PARAMS
 
     def __init__(self, params: Mapping[str, object], rng: np.random.Generator):
         p = read_params(params, self.PARAMS, "environment", ("beta", "gamma", "x0_mean"))
@@ -178,24 +185,6 @@ class _NonatomicEnv(_ScalarEnv):
     def respond(self, a: tuple[float, ...]) -> tuple[float]:
         self.last_mean = nonatomic_response_closed(self.pop, _scalar(a)[0])
         return (self.last_mean,)
-
-
-def _reject_unknown_keys(
-    section: str, params: Mapping[str, object], allowed: Collection[str]
-) -> None:
-    for key in params:
-        if key not in allowed:
-            raise InvalidConfigError(
-                f"{section}.{key}: unknown parameter; allowed: {', '.join(sorted(allowed))}"
-            )
-
-
-def _check_opening(section: str, params: Mapping[str, object], width: int) -> None:
-    """An opening forecast, initial or prior, must hold one value per outcome entry."""
-    for key in {"initial", "prior"} & set(params):
-        n = len(as_floats(params[key], f"{section}.{key}"))
-        if n != width:
-            raise InvalidConfigError(f"{section}.{key}: expected {width} value(s), got {n}")
 
 
 def build_game(
@@ -337,30 +326,31 @@ ENVS = {
 SETTINGS = tuple(ENVS)
 
 
+def setting_env(setting: str) -> type:
+    """The adapter of setting; an unknown setting is an error naming run.setting."""
+    if setting not in SETTINGS:
+        raise InvalidConfigError(f"run.setting: {setting!r} is not one of {', '.join(SETTINGS)}")
+    return ENVS[setting]
+
+
+def policy_keys(env_cls: type, policy: str, field: str, where: str) -> Mapping[str, Callable]:
+    """The keys policy reads against the adapter env_cls, with their converters."""
+    if policy not in env_cls.POLICIES:
+        valid = ", ".join(env_cls.POLICIES)
+        raise InvalidConfigError(f"{field}: {policy!r} is not valid for {where}; valid names: {valid}")
+    return policies.POLICIES[policy].PARAMS[env_cls.kind]
+
+
 def _validate(config: SimConfig) -> None:
-    if config.setting not in SETTINGS:
-        raise InvalidConfigError(
-            f"run.setting: {config.setting!r} is not one of {', '.join(SETTINGS)}"
-        )
-    if config.policy not in policies.POLICIES:
-        raise InvalidConfigError(
-            f"policy.name: unknown policy {config.policy!r}; "
-            f"valid names: {', '.join(sorted(policies.POLICIES))}"
-        )
-    env_cls = ENVS[config.setting]
-    if config.policy not in env_cls.POLICIES:
-        raise InvalidConfigError(
-            f"policy.name: {config.policy!r} is not valid for setting {config.setting!r}; "
-            f"valid names: {', '.join(env_cls.POLICIES)}"
-        )
+    env_cls = setting_env(config.setting)
+    keys = policy_keys(env_cls, config.policy, "policy.name", f"setting {config.setting!r}")
     for name in config.losses():
         if name not in env_cls.LOSSES:
             raise InvalidConfigError(
                 f"run.losses: {name!r} not available in the {config.setting} setting"
             )
-    _reject_unknown_keys("policy", config.policy_params, policies.POLICIES[config.policy].PARAMS)
+    _reject_unknown_keys("policy", config.policy_params, keys)
     if env_cls.kind == "point":  # build_game checks a game's keys as it reads them
-        _check_opening("policy", config.policy_params, 1)
         _reject_unknown_keys("environment", config.env_params, env_cls.PARAMS)
     if config.stages < 1:
         raise InvalidConfigError("run.stages: need at least one stage")
@@ -466,6 +456,7 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
     """
     if n_runs < 1:
         raise InvalidConfigError("monte_carlo.n_runs: need at least one run")
+    _validate(config)
     loss_names = config.losses()
     per_run: dict[str, list[float]] = {name: [] for name in loss_names}
     finals: list[Forecast] = []
@@ -499,15 +490,12 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
     )
 
 
-# Point policies that replay supports, with the key of their opening forecast,
-# which defaults to zeros of the observation width.
-REPLAY_OPENING = {"average": "prior", "expodamp": "initial", "naive": "initial"}
-
-
 class _RecordedEnv:
     """Recorded rows as a setting: stage t's outcome is row t, whatever was announced."""
 
     kind = "point"
+    recorded = True
+    POLICIES = ("expodamp", "average", "naive")
 
     def __init__(self, rows: Sequence[Sequence[float]]):
         self.rows = enumerate(rows)
@@ -535,21 +523,16 @@ def replay(
     The data is not influenced by the forecasts, so this evaluates forecasting
     accuracy only; squared errors against the recorded rows are logged as
     point_pred. Errors name the policy: a key as policy_name.key, a stage that
-    diverged as "policy_name: stage t: ...".
+    diverged as "policy_name: stage t: ...". A missing opening forecast is zeros
+    of the row width (policies._opening_point).
     """
     if len(observations) == 0:
         raise InvalidConfigError("replay: empty observation stream")
-    if policy_name not in REPLAY_OPENING:
-        raise InvalidConfigError(
-            f"replay: policy {policy_name!r} not supported; "
-            f"valid names: {', '.join(REPLAY_OPENING)}"
-        )
+    keys = policy_keys(_RecordedEnv, policy_name, "policy_name", "replay")
+    _reject_unknown_keys(policy_name, policy_params, keys)
     env = _RecordedEnv(observations)
     policy_cls = policies.POLICIES[policy_name]
-    _reject_unknown_keys(policy_name, policy_params, policy_cls.PARAMS)
-    _check_opening(policy_name, policy_params, env.width)
-    params = {REPLAY_OPENING[policy_name]: (0.0,) * env.width, **policy_params}
-    policy = policy_cls.from_params(params, np.random.default_rng(0), env, policy_name)
+    policy = policy_cls.from_params(policy_params, np.random.default_rng(0), env, policy_name)
     try:
         return _trajectory(covariate, len(observations), env, policy, ("point_pred",), "replay")
     except InvalidParameterError as exc:

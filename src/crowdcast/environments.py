@@ -20,6 +20,7 @@ from .core import (
     JointProfile,
     PointForecast,
     ShapeError,
+    as_float,
 )
 
 
@@ -62,6 +63,10 @@ class LinearAggregateEnv:
             raise InvalidParameterError("x0_var must be nonnegative")
         x0 = x0_mean + math.sqrt(x0_var) * rng.standard_normal()
         return cls(beta=beta, gamma=gamma, var_ex=var_ex, var_ey=var_ey, x=x0, rng=rng)
+
+
+# The config keys of the linear model, read by the environment and by the Kalman policy.
+LINEAR_PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
 
 
 def linear_step(env: LinearAggregateEnv, a: float) -> float:

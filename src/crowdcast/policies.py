@@ -2,7 +2,13 @@
 
 Each policy is one mutable state class with one interface:
 
-- ``PARAMS`` maps each config key the policy reads to its converter;
+- ``PARAMS`` maps each setting kind the policy runs in, ``"point"`` or
+  ``"profile"``, to the config keys it reads there and their converters; only
+  ``naive`` runs in both, on ``initial`` and on ``initial_profile``;
+- ``OPENING``, on the point policies that announce a configured forecast
+  before any observation, names its key (``initial`` or ``prior``); the
+  forecast must hold ``env.width`` values and, if missing, is zeros, except
+  for ``naive`` in a simulated setting, where it is required;
 - ``from_params(params, rng, env, section)`` builds the state for one run from
   those keys, the run's policy generator and the environment adapter, naming
   a bad key as ``section.key``;
@@ -51,6 +57,7 @@ from .core import (
     observation_values,
     read_params,
 )
+from .environments import LINEAR_PARAMS
 
 
 class _EveryStage:
@@ -70,7 +77,8 @@ class ExpodampState(_EveryStage):
     a: PointForecast
     alpha: float
 
-    PARAMS = {"alpha": as_float, "initial": as_floats}
+    PARAMS = {"point": {"alpha": as_float, "initial": as_floats}}
+    OPENING = "initial"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
@@ -78,8 +86,8 @@ class ExpodampState(_EveryStage):
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "ExpodampState":
-        p = read_params(params, cls.PARAMS, section, ("alpha",))
-        return cls(a=PointForecast(p.get("initial", (0.0,))), alpha=p["alpha"])
+        p = read_params(params, cls.PARAMS["point"], section, ("alpha",))
+        return cls(a=PointForecast(_opening_point(cls, p, env, section)), alpha=p["alpha"])
 
     def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
         if y_prev is None:
@@ -108,10 +116,26 @@ def naive_step(y_prev: object) -> Forecast:
     return PointForecast(observation_values(y_prev))
 
 
+def _opening_point(cls, p: Mapping[str, object], env, section: str) -> tuple[float, ...]:
+    """The read value of cls.OPENING, which must hold env.width values.
+
+    The one place where a missing opening forecast defaults, to zeros.
+    """
+    values = p.get(cls.OPENING, (0.0,) * env.width)
+    if len(values) != env.width:
+        raise InvalidConfigError(
+            f"{section}.{cls.OPENING}: expected {env.width} value(s), got {len(values)}"
+        )
+    return values
+
+
+# The keys of a finite-game policy that opens on a configured profile.
+_PROFILE_OPENING = {"initial_profile": as_slots}
+
+
 def _opening_profile(params: Mapping[str, object], env, section: str) -> DiscreteDistribution:
     """Dirac on initial_profile, which must name one of the game's slots for each player."""
-    spec = {"initial_profile": as_slots}
-    slots = read_params(params, spec, section, ("initial_profile",))["initial_profile"]
+    slots = read_params(params, _PROFILE_OPENING, section, ("initial_profile",))["initial_profile"]
     game = env.game
     if len(slots) == game.n and min(slots) >= 0:
         profile = JointProfile(slots)
@@ -129,14 +153,16 @@ class NaiveState(_EveryStage):
 
     initial: tuple[float, ...] | DiscreteDistribution
 
-    PARAMS = {"initial": as_floats, "initial_profile": as_slots}
+    PARAMS = {"point": {"initial": as_floats}, "profile": _PROFILE_OPENING}
+    OPENING = "initial"
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "NaiveState":
         if env.kind == "profile":
             return cls(_opening_profile(params, env, section))
-        p = read_params(params, cls.PARAMS, section, ("initial",))
-        return cls(PointForecast(p["initial"]).values)
+        # only recorded data lets naive's opening default to zeros
+        p = read_params(params, cls.PARAMS["point"], section, () if env.recorded else ("initial",))
+        return cls(_opening_point(cls, p, env, section))
 
     def forecast(self, w: str, y_prev: object) -> tuple[float, ...] | DiscreteDistribution:
         if y_prev is None:
@@ -153,12 +179,13 @@ class AverageState(_EveryStage):
     sum: list[float] = field(default_factory=list)
     count: int = 0
 
-    PARAMS = {"prior": as_floats}
+    PARAMS = {"point": {"prior": as_floats}}
+    OPENING = "prior"
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "AverageState":
-        p = read_params(params, cls.PARAMS, section)
-        return cls(prior=PointForecast(p.get("prior", (0.0,))))
+        p = read_params(params, cls.PARAMS["point"], section)
+        return cls(prior=PointForecast(_opening_point(cls, p, env, section)))
 
     def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
         if y_prev is None:
@@ -187,7 +214,7 @@ class EmpiricalDistributionState(_EveryStage):
     prior: DiscreteDistribution
     counts: Counter = field(default_factory=Counter)
 
-    PARAMS = {"initial_profile": as_slots}
+    PARAMS = {"profile": _PROFILE_OPENING}
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "EmpiricalDistributionState":
@@ -220,7 +247,7 @@ class KalmanPolicyState(_EveryStage):
     x_var: float
     a_prev: float = math.nan  # the forecast announced last
 
-    PARAMS = {key: as_float for key in ("beta", "gamma", "var_ex", "var_ey", "x0_mean", "x0_var")}
+    PARAMS = {"point": LINEAR_PARAMS}
 
     def __post_init__(self) -> None:
         if self.beta == 1.0:
@@ -232,7 +259,7 @@ class KalmanPolicyState(_EveryStage):
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "KalmanPolicyState":
-        p = read_params(params, cls.PARAMS, section, ("beta", "gamma", "x0_mean"))
+        p = read_params(params, cls.PARAMS["point"], section, ("beta", "gamma", "x0_mean"))
         state, a0 = kalman_init(**{"var_ex": 0.0, "var_ey": 0.0, "x0_var": 0.0, **p})
         state.a_prev = a0
         return state
@@ -407,17 +434,22 @@ class PartpredState:
     per_w: dict[Hashable, _CovariateSearch] = field(default_factory=dict)
     last_w: Hashable | None = None
 
-    PARAMS = {"r": as_int, "update": _as_update, "initial_index": as_int}
+    PARAMS = {"profile": {"r": as_int, "update": _as_update, "initial_index": as_int}}
 
     def __post_init__(self) -> None:
         if self.r < 1:
             raise InvalidConfigError("policy.r: group length must be at least 1")
-        if not self.candidates:
+        n = len(self.candidates)
+        if not n:
             raise InvalidConfigError("partpred.candidates: empty candidate set")
+        if self.initial_index is not None and not -n <= self.initial_index < n:
+            raise InvalidConfigError(
+                f"policy.initial_index: {self.initial_index} is outside the {n} candidates"
+            )
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "PartpredState":
-        p = read_params(params, cls.PARAMS, section, ("r",))
+        p = read_params(params, cls.PARAMS["profile"], section, ("r",))
         update = p.get("update", "congestion")
         if update == "congestion" and env.bayesian:
             raise InvalidConfigError(
@@ -458,13 +490,8 @@ class PartpredState:
         search = self.per_w.get(w)
         if search is None:
             cands = list(self.candidates)
-            if self.initial_index is not None:
-                start = self.initial_index
-                if not -len(cands) <= start < len(cands):
-                    raise InvalidConfigError(
-                        f"policy.initial_index: {start} is outside the {len(cands)} candidates"
-                    )
-            else:
+            start = self.initial_index
+            if start is None:
                 start = int(self.rng.integers(len(cands)))
             search = _CovariateSearch(
                 candidates=cands,

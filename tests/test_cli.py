@@ -132,14 +132,30 @@ class TestSimulateCommand:
         assert "valid names" in err and "expodamp" in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        config = write(
-            tmp_path / "bad.ini",
-            "[run]\nsetting = linear\nstages = 5\nseed = 1\nbogus = 1\n"
-            "[policy]\nname = expodamp\nalpha = 0.5\n"
-            "[environment]\nbeta = 0.5\ngamma = 0.5\nx0_mean = 0.4\n",
-        )
-        assert main(["simulate", "--config", config]) == 2
-        assert "unknown key" in capsys.readouterr().err
+        run = "[run]\nsetting = linear\nstages = 5\nseed = 1\n"
+        policy = "[policy]\nname = expodamp\nalpha = 0.5\n"
+        env = "[environment]\nbeta = 0.5\ngamma = 0.5\nx0_mean = 0.4\n"
+        evaluate = "[evaluate]\npolicies = expodamp\n"
+        expodamp = "[expodamp]\nalpha = 0.5\n"
+        cases = [
+            ("simulate", run + "bogus = 1\n" + policy + env,
+             "run.bogus: unknown parameter; allowed: covariate, losses, seed, setting, stages"),
+            ("simulate", run + policy + "bogus = 1\n" + env,
+             "policy.bogus: unknown parameter; allowed: alpha, initial, name"),
+            ("simulate", run + policy + env + "bogus = 1\n",
+             "environment.bogus: unknown parameter; allowed: beta, gamma, var_ex, var_ey, "
+             "x0_mean, x0_var"),
+            ("evaluate", evaluate + "bogus = 1\n" + expodamp,
+             "evaluate.bogus: unknown parameter; allowed: policies"),
+            ("evaluate", evaluate + expodamp + "bogus = 1\n",
+             "expodamp.bogus: unknown parameter; allowed: alpha, initial"),
+        ]
+        data = write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")
+        for command, text, message in cases:
+            config = write(tmp_path / "bad.ini", text)
+            argv = [command, "--config", config] + (["--data", data] if command == "evaluate" else [])
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
     def test_mse_recomputable_from_emitted_csv(self, tmp_path):
         config = write(
@@ -335,12 +351,29 @@ NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
         # an opening forecast narrower or wider than the two-column day matrix
         ("evaluate", "[evaluate]\npolicies = naive\n[naive]\ninitial = 1 2 3\n", "naive.initial"),
         ("evaluate", "[evaluate]\npolicies = average\n[average]\nprior = 1\n", "average.prior"),
+        # a key of the other setting kind
+        ("simulate", LINEAR_RUN + "[policy]\nname = naive\ninitial = 0.1\ninitial_profile = 0 0\n"
+         + LINEAR_ENV, "policy.initial_profile: unknown parameter; allowed: initial, name"),
+        ("simulate", GAME_RUN.replace("partpred\nr = 2", "naive\ninitial_profile = 0 0\ninitial = 5 6")
+         + GAME_ENV, "policy.initial: unknown parameter; allowed: initial_profile, name"),
+        ("evaluate", "[evaluate]\npolicies = naive\n[naive]\ninitial_profile = 0 1\n",
+         "naive.initial_profile: unknown parameter; allowed: initial"),
+        # "replay" is not a setting, and replay does not run kalman
+        ("simulate", LINEAR_RUN.replace("linear", "replay") + "[policy]\nname = expodamp\nalpha = 0.5\n"
+         + LINEAR_ENV, "run.setting: 'replay' is not one of linear, nonatomic, finite-game"),
+        ("evaluate", "[evaluate]\npolicies = kalman\n",
+         "evaluate.policies: 'kalman' is not valid for replay; valid names: expodamp, average, naive"),
+        # naive has no default opening forecast in a simulated setting
+        ("simulate", LINEAR_RUN + "[policy]\nname = naive\n" + LINEAR_ENV,
+         "policy.initial: required parameter missing"),
     ],
     ids=[
         "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
         "profile-slot-out-of-range", "negative-seed", "no-policies", "vector-initial-linear",
         "vector-initial-nonatomic", "vector-prior-nonatomic", "vector-prior-linear",
-        "wide-initial-evaluate", "narrow-prior-evaluate",
+        "wide-initial-evaluate", "narrow-prior-evaluate", "profile-key-on-linear",
+        "point-key-on-finite-game", "profile-key-in-evaluate", "replay-as-setting",
+        "kalman-in-evaluate", "naive-without-initial",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):

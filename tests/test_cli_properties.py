@@ -89,7 +89,7 @@ def sim_config(draw) -> dict[str, dict[str, str]]:
         "initial_index": st.integers(-30, 30).map(str),
     }
     policy = {"name": name}
-    for key in POLICIES[name].PARAMS:
+    for key in POLICIES[name].PARAMS[ENVS[setting].kind]:
         if draw(st.integers(0, 4)) > 0:
             policy[key] = draw(candidates[key])
     return {"run": run, "policy": policy, "environment": env}

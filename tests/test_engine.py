@@ -207,6 +207,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="valid names"):
             run_dynamic(cfg)
 
+    def test_unknown_setting_names_run_setting(self):
+        for setting in ("bogus", "replay"):
+            cfg = SimConfig(setting, "expodamp", {"alpha": 0.5}, {}, 3, 0)
+            for run in (run_dynamic, lambda c: monte_carlo(c, 2)):
+                with pytest.raises(InvalidConfigError, match=f"run.setting: '{setting}' is not one of"):
+                    run(cfg)
+
     def test_policy_setting_mismatch(self):
         cfg = SimConfig(
             setting="finite-game",
@@ -266,9 +273,16 @@ class TestConfigValidation:
             ("finite-game", "naive", {"initial_profile": (0, 0)},
              {**TABLE, "slot_2": (-1.0, -2.0)},
              "environment.slot_2: unknown parameter; allowed: players, slot_0, slot_1, slots$"),
+            ("linear", "naive", {"initial": (0.5,), "initial_profile": (0, 0)},
+             {"beta": 0.5, "gamma": 0.5, "x0_mean": 0.4},
+             "policy.initial_profile: unknown parameter; allowed: initial$"),
+            ("finite-game", "naive", {"initial_profile": (0, 0), "initial": (5.0, 6.0)},
+             {"game": crowding_game(2, 2)},
+             "policy.initial: unknown parameter; allowed: initial_profile$"),
         ],
         ids=["policy-key", "linear-env-key", "nonatomic-env-key", "finite-game-policy-key",
-             "key-beside-game", "slot-beyond-slots"],
+             "key-beside-game", "slot-beyond-slots", "profile-key-on-linear",
+             "point-key-on-finite-game"],
     )
     def test_unknown_key_rejected(self, setting, policy, policy_params, env_params, message):
         cfg = SimConfig(
@@ -558,6 +572,9 @@ class TestReplay:
     def test_unknown_policy_key_rejected(self):
         with pytest.raises(InvalidConfigError, match="expodamp.alpah: unknown parameter"):
             replay("expodamp", {"alpha": 0.5, "alpah": 9}, [(1.0,), (2.0,)])
+        # a key of the profile settings
+        with pytest.raises(InvalidConfigError, match="naive.initial_profile: unknown parameter"):
+            replay("naive", {"initial_profile": (0, 1)}, [(1.0, 2.0), (2.0, 3.0)])
 
     def test_unknown_replay_policy(self):
         with pytest.raises(InvalidConfigError, match="valid names"):

@@ -5,6 +5,7 @@ from crowdcast.analysis import collision_free_check, is_nash
 from crowdcast.core import (
     DegenerateGainError,
     DiscreteDistribution,
+    InvalidConfigError,
     InvalidParameterError,
     JointProfile,
     NeedsInitialForecastError,
@@ -234,6 +235,11 @@ def single_covariate_state(candidates, r, update_fn, seed=0, initial_index=None)
 
 
 class TestPartpred:
+    def test_initial_index_outside_the_candidates_rejected_at_construction(self):
+        cands = [D.dirac(c) for c in crowding_game(2, 2).profiles()]
+        with pytest.raises(InvalidConfigError, match="policy.initial_index: 99 is outside the 4 candidates"):
+            single_covariate_state(cands, r=1, update_fn=congestion_update_fn, initial_index=99)
+
     def test_self_fulfilling_candidate_detected_immediately(self):
         game = crowding_game(2, 2)
         cands = [D.dirac(c) for c in game.profiles()]
