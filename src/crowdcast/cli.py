@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import io
 import logging
 import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 from . import analysis
 from .core import (
@@ -190,27 +190,48 @@ def _entry_cells(col: Sequence[object]) -> list[Iterator[str]]:
     return [map(str, map(itemgetter(i), slots)) for i in range(len(slots[0]))]
 
 
-def _columns(traj: Trajectory, loss_names: Sequence[str]) -> tuple[list[str], list[Iterator[str]]]:
-    """The series names a_0.., y_0.., losses and one lazy cell stream for each."""
+def write_csvs(
+    traj: Trajectory, loss_names: Sequence[str], out: TextIO | None = None, plot: TextIO | None = None
+) -> None:
+    """Write the trajectory CSV to out and its tidy long form to plot; either may be None.
+
+    One stage-major pass formats each cell once, with ``_entry_cells``.
+    """
     a, y = _entry_cells(traj.a), _entry_cells(traj.y)
-    names = [f"a_{i}" for i in range(len(a))] + [f"y_{i}" for i in range(len(y))]
-    return names + list(loss_names), a + y + [map(repr, traj.losses[n]) for n in loss_names]
+    names = [f"a_{i}" for i in range(len(a))] + [f"y_{i}" for i in range(len(y))] + list(loss_names)
+    cells = a + y + [map(repr, traj.losses[n]) for n in loss_names]
+    if out is not None:
+        out.write(",".join(["t", *names]) + "\n")
+    if plot is not None:
+        plot.write("t,series,value\n")
+        plot_lines = "".join(f"{{0}},{name},{{{k}}}\n" for k, name in enumerate(names, 1)).format
+    for t, row in enumerate(zip(*cells)):
+        if out is not None:
+            out.write(f"{t},{','.join(row)}\n")
+        if plot is not None:
+            plot.write(plot_lines(t, *row))
 
 
 def trajectory_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
-    """Columns: t, a_0.., y_0.., loss columns, with the cells of ``_entry_cells``."""
-    names, cells = _columns(traj, loss_names)
-    lines = [",".join(["t", *names])]
-    lines += map(",".join, zip(map(str, range(len(traj))), *cells))
-    return "\n".join(lines) + "\n"
+    """The trajectory CSV of ``write_csvs`` as a string."""
+    write_csvs(traj, loss_names, out=(buf := io.StringIO()))
+    return buf.getvalue()
 
 
 def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
-    """Tidy long format (t, series, value) for external plotting."""
-    names, cells = _columns(traj, loss_names)
-    # one lazy stream of lines per series, interleaved stage by stage
-    series = [map(f"{{}},{name},{{}}".format, range(len(traj)), c) for name, c in zip(names, cells)]
-    return "\n".join(["t,series,value", *chain.from_iterable(zip(*series))]) + "\n"
+    """The tidy long-format CSV of ``write_csvs`` as a string."""
+    write_csvs(traj, loss_names, plot=(buf := io.StringIO()))
+    return buf.getvalue()
+
+
+def _open_out(path: str | None, flag: str) -> contextlib.AbstractContextManager[TextIO | None]:
+    """path opened for writing, or a context of None without one; an unwritable path names flag."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InvalidConfigError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -218,15 +239,16 @@ def plot_data_csv(traj: Trajectory, loss_names: Sequence[str]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config, seed_override=args.seed)
-    with _in_file(args.config):
-        traj = run_dynamic(config)
     loss_names = config.losses()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(trajectory_csv(traj, loss_names))
-    if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", encoding="utf-8", newline="") as fh:
-            fh.write(plot_data_csv(traj, loss_names))
+    with (
+        _open_out(args.out, "--out") as out,
+        _open_out(args.emit_plot_data, "--emit-plot-data") as plot,
+    ):
+        if out and plot and os.path.sameopenfile(out.fileno(), plot.fileno()):
+            raise InvalidConfigError(f"--emit-plot-data: {args.emit_plot_data} is the --out file")
+        with _in_file(args.config):
+            traj = run_dynamic(config)
+        write_csvs(traj, loss_names, out, plot)
     final = traj.final
     print(f"setting={config.setting} policy={config.policy} stages={config.stages} seed={config.seed}")
     print(f"config_hash={traj.config_hash}")
@@ -271,11 +293,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """
     matrix = parse_day_csv(args.data)
     specs = _evaluate_specs(args.config)
-    results = []
-    for name, params in specs:
-        with _in_file(args.config or args.data):
-            traj = replay(name, params, matrix.rows)
-        results.append((name, trajectory_mse(traj.records)))
+    with _open_out(args.out, "--out") as out:
+        results = []
+        for name, params in specs:
+            with _in_file(args.config or args.data):
+                traj = replay(name, params, matrix.rows)
+            results.append((name, trajectory_mse(traj.records)))
+        if out is not None:
+            out.write("method,mean_squared_error\n")
+            out.writelines(f"{name},{mse!r}\n" for name, mse in results)
     width = max(len(name) for name, _ in results)
     print("replay mode: forecasts do not influence the recorded data")
     print(f"days={matrix.n_days} slots={len(matrix.slot_labels)}")
@@ -283,10 +309,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for name, mse in results:
         print(f"{name.ljust(width)}  {mse:.6f}")
     if args.out:
-        lines = ["method,mean_squared_error"]
-        lines += [f"{name},{repr(mse)}" for name, mse in results]
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -500,8 +500,12 @@ class _RecordedEnv:
     def __init__(self, rows: Sequence[Sequence[float]]):
         self.rows = enumerate(rows)
         self.width = len(rows[0])
+        if not self.width:
+            raise InvalidConfigError("replay: row 0 has 0 cells")
 
     def respond(self, a: tuple[float, ...]) -> tuple[float, ...]:
+        if not all(map(math.isfinite, a)):  # as _scalar checks the simulated forecasts
+            raise InvalidParameterError("point forecast entries must be finite")
         t, row = next(self.rows)
         if len(row) != self.width:
             raise InvalidConfigError(f"replay: row {t} has {len(row)} cells, expected {self.width}")

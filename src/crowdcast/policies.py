@@ -22,10 +22,13 @@ Each policy is one mutable state class with one interface:
   one ``observe_held(ys)`` call;
 - ``summary()`` reports the final internal flags.
 
-``POLICIES`` maps each policy name to its class. The update rules themselves
-are step functions (``expodamp_step``, ``kalman_step``, ...) that ``forecast``
-calls. A state instance belongs to a single run; distinct instances are
-independent.
+``POLICIES`` maps each policy name to its class. ``forecast`` calls the
+per-stage rule (``expodamp_update``, ``average_update``, ``naive_update`` on
+bare tuples, ``kalman_step``, ...), which validates nothing: the engine checks
+each point forecast where its environment takes it. ``expodamp_step``,
+``average_step`` and ``naive_step`` check the outcome and return the rule's
+forecast as a ``PointForecast``, for callers outside a run. A state instance
+belongs to a single run; distinct instances are independent.
 """
 
 from __future__ import annotations
@@ -70,19 +73,21 @@ class _EveryStage:
         return {}
 
 
-@dataclass
 class ExpodampState(_EveryStage):
-    """Damped forecast update: move the forecast a fraction alpha toward the outcome."""
-
-    a: PointForecast
-    alpha: float
+    """Damped forecast update on bare ``values``: move them a fraction alpha toward the outcome."""
 
     PARAMS = {"point": {"alpha": as_float, "initial": as_floats}}
     OPENING = "initial"
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha):
+    def __init__(self, a: PointForecast, alpha: float) -> None:
+        if not math.isfinite(alpha):
             raise InvalidParameterError("alpha must be finite")
+        self.values, self.alpha = a.values, alpha
+
+    @property
+    def a(self) -> PointForecast:
+        """The current forecast, validated."""
+        return PointForecast(self.values)
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "ExpodampState":
@@ -90,29 +95,37 @@ class ExpodampState(_EveryStage):
         return cls(a=PointForecast(_opening_point(cls, p, env, section)), alpha=p["alpha"])
 
     def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
-        if y_prev is None:
-            return self.a.values
-        return expodamp_step(self, y_prev).values
+        if y_prev is not None:
+            self.values = expodamp_update(self.values, self.alpha, y_prev)
+        return self.values
+
+
+def expodamp_update(a: tuple[float, ...], alpha: float, y: tuple[float, ...]) -> tuple[float, ...]:
+    """a <- a + alpha * (y - a), componentwise: expodamp's per-stage rule."""
+    return tuple(av + alpha * (yv - av) for av, yv in zip(a, y))
 
 
 def expodamp_step(state: ExpodampState, y_prev: Sequence[float]) -> PointForecast:
-    """a <- a + alpha * (y_prev - a), componentwise."""
+    """expodamp_update on state, for an outcome of the forecast's width, validated on the way out."""
     y = tuple(float(v) for v in y_prev)
-    if len(y) != len(state.a):
-        raise ShapeError(f"forecast has {len(state.a)} entries, observation has {len(y)}")
-    new = PointForecast(
-        tuple(av + state.alpha * (yv - av) for av, yv in zip(state.a.values, y))
-    )
-    state.a = new
+    if len(y) != len(state.values):
+        raise ShapeError(f"forecast has {len(state.values)} entries, observation has {len(y)}")
+    new = PointForecast(expodamp_update(state.values, state.alpha, y))
+    state.values = new.values
     return new
 
 
+def naive_update(y: tuple[float, ...] | JointProfile) -> tuple[float, ...] | DiscreteDistribution:
+    """Naive's per-stage rule: yesterday's outcome as today's forecast, a Dirac for a profile."""
+    return DiscreteDistribution.dirac(y) if isinstance(y, JointProfile) else y
+
+
 def naive_step(y_prev: object) -> Forecast:
-    """Yesterday's outcome as today's forecast (Dirac for joint-action outcomes)."""
+    """naive_update of an outcome, a real vector as a ``PointForecast``."""
     if y_prev is None:
         raise NeedsInitialForecastError("no observation yet; configure an initial forecast")
     if isinstance(y_prev, JointProfile):
-        return DiscreteDistribution.dirac(y_prev)
+        return naive_update(y_prev)
     return PointForecast(observation_values(y_prev))
 
 
@@ -165,10 +178,7 @@ class NaiveState(_EveryStage):
         return cls(_opening_point(cls, p, env, section))
 
     def forecast(self, w: str, y_prev: object) -> tuple[float, ...] | DiscreteDistribution:
-        if y_prev is None:
-            return self.initial
-        a = naive_step(y_prev)
-        return a.values if isinstance(a, PointForecast) else a
+        return self.initial if y_prev is None else naive_update(y_prev)
 
 
 @dataclass
@@ -176,7 +186,7 @@ class AverageState(_EveryStage):
     """Running-mean forecast; a configured prior is used before two observations exist."""
 
     prior: PointForecast
-    sum: list[float] = field(default_factory=list)
+    sum: tuple[float, ...] = ()
     count: int = 0
 
     PARAMS = {"point": {"prior": as_floats}}
@@ -188,23 +198,23 @@ class AverageState(_EveryStage):
         return cls(prior=PointForecast(_opening_point(cls, p, env, section)))
 
     def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
-        if y_prev is None:
-            return self.prior.values
-        return average_step(self, y_prev).values
+        if y_prev is not None:
+            self.sum = average_update(self.sum or (0.0,) * len(y_prev), y_prev)
+            self.count += 1
+        return self.prior.values if self.count < 2 else tuple(s / self.count for s in self.sum)
+
+
+def average_update(sums: tuple[float, ...], y: tuple[float, ...]) -> tuple[float, ...]:
+    """The running sums after outcome y: average's per-stage rule, whose mean is the forecast."""
+    return tuple(s + v for s, v in zip(sums, y))
 
 
 def average_step(state: AverageState, y_prev: Sequence[float]) -> PointForecast:
+    """The forecast after y_prev, whose width must not change mid-run, as a ``PointForecast``."""
     y = tuple(float(v) for v in y_prev)
-    if not state.sum:
-        state.sum = [0.0] * len(y)
-    if len(y) != len(state.sum):
+    if state.sum and len(y) != len(state.sum):
         raise ShapeError("observation length changed mid-run")
-    for idx, v in enumerate(y):
-        state.sum[idx] += v
-    state.count += 1
-    if state.count < 2:
-        return state.prior
-    return PointForecast(tuple(s / state.count for s in state.sum))
+    return PointForecast(state.forecast("", y))
 
 
 @dataclass

@@ -6,12 +6,15 @@ import pytest
 
 from crowdcast.cli import (
     DayMatrix,
+    load_sim_config,
     main,
     parse_day_csv,
+    plot_data_csv,
     serialize_day_csv,
+    trajectory_csv,
 )
 from crowdcast.core import EmptyInputError, ParseError
-from crowdcast.engine import closed_form_trajectory
+from crowdcast.engine import closed_form_trajectory, run_dynamic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -174,8 +177,6 @@ class TestSimulateCommand:
         csv_mse = sum((float(a) - float(y)) ** 2 for _, a, y, *_ in cells) / len(cells)
 
         from crowdcast.core import trajectory_mse
-        from crowdcast.engine import run_dynamic
-        from crowdcast.cli import load_sim_config
 
         traj = run_dynamic(load_sim_config(config))
         assert trajectory_mse(traj.records) == pytest.approx(csv_mse, rel=1e-12)
@@ -190,6 +191,41 @@ class TestSimulateCommand:
         assert lines[0] == "t,series,value"
         series = {line.split(",")[1] for line in lines[1:]}
         assert series == {"a_0", "y_0", "point_pred"}
+
+    # flapping_naive writes a Dirac forecast as its mode's slots and the outcome as a profile
+    @pytest.mark.parametrize("config", ["linear_damped.ini", "flapping_naive.ini"])
+    @pytest.mark.parametrize(
+        "flags", [("--out", "--emit-plot-data"), ("--out",), ("--emit-plot-data",)]
+    )
+    def test_files_hold_the_bytes_of_the_csv_builders(self, tmp_path, config, flags):
+        path = str(CONFIG_DIR / config)
+        files = {flag: tmp_path / f"{flag.strip('-')}.csv" for flag in flags}
+        assert main(["simulate", "--config", path, *(x for f in flags for x in (f, str(files[f])))]) == 0
+        cfg = load_sim_config(path)
+        traj = run_dynamic(cfg)
+        builders = {"--out": trajectory_csv, "--emit-plot-data": plot_data_csv}
+        for flag, file in files.items():
+            assert file.read_bytes() == builders[flag](traj, cfg.losses()).encode("utf-8")
+        assert sorted(tmp_path.iterdir()) == sorted(files.values())
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--out", "{missing}"], "--out"),
+        (["--emit-plot-data", "{missing}"], "--emit-plot-data"),
+        (["--out", "{ok}", "--emit-plot-data", "{missing}"], "--emit-plot-data"),
+    ])
+    def test_unwritable_output_exits_2_before_the_run(self, tmp_path, capsys, flags, flag):
+        missing, ok = tmp_path / "no_such_dir" / "x.csv", tmp_path / "ok.csv"
+        argv = [f.format(missing=missing, ok=ok) for f in flags]
+        assert main(["simulate", "--config", str(CONFIG_DIR / "linear_damped.ini"), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag}: cannot write {missing}: No such file or directory\n"
+        assert captured.out == ""
+
+    def test_one_file_for_both_outputs_exits_2(self, tmp_path, capsys):
+        both, alias = tmp_path / "both.csv", f"{tmp_path}/./both.csv"
+        argv = ["--out", str(both), "--emit-plot-data", alias]
+        assert main(["simulate", "--config", str(CONFIG_DIR / "linear_damped.ini"), *argv]) == 2
+        assert capsys.readouterr().err == f"error: --emit-plot-data: {alias} is the --out file\n"
 
 
 class TestEvaluateCommand:
@@ -221,6 +257,14 @@ class TestEvaluateCommand:
         assert rows[0] == "method,mean_squared_error"
         mse = {row.split(",")[0]: float(row.split(",")[1]) for row in rows[1:]}
         assert mse["expodamp"] < mse["average"]
+
+    def test_unwritable_output_exits_2_naming_the_flag(self, tmp_path, capsys):
+        data = write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")
+        missing = tmp_path / "no_such_dir" / "table.csv"
+        assert main(["evaluate", "--data", data, "--out", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out: cannot write {missing}: No such file or directory\n"
+        assert captured.out == ""
 
 
 class TestAnalyzeCommand:

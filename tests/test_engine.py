@@ -579,3 +579,33 @@ class TestReplay:
     def test_unknown_replay_policy(self):
         with pytest.raises(InvalidConfigError, match="valid names"):
             replay("partpred", {}, [(1.0,)])
+
+    def test_zero_width_first_row_rejected_naming_the_row(self):
+        for name, params, rows in [("expodamp", {"alpha": 0.5}, [()]), ("average", {}, [(), (1.0,)])]:
+            with pytest.raises(InvalidConfigError, match=r"^replay: row 0 has 0 cells$"):
+                replay(name, params, rows)
+
+    @pytest.mark.parametrize("name, params", [
+        ("expodamp", {"alpha": 0.3, "initial": (0.5, 1.0, 2.0)}),
+        ("average", {"prior": (1.0, 2.0, 3.0)}),
+        ("naive", {"initial": (0.1, 0.2, 0.3)}),
+    ])
+    def test_width_3_records_equal_the_step_loop(self, name, params):
+        """The tuple-level rules in forecast must give the validating step functions' floats."""
+        rng = np.random.default_rng(14)
+        rows = [tuple(float(v) for v in rng.uniform(0, 10, size=3)) for _ in range(40)]
+        if name == "expodamp":
+            state = ExpodampState(a=PointForecast(params["initial"]), alpha=params["alpha"])
+            a, step = state.a, lambda y: expodamp_step(state, y)
+        elif name == "average":
+            state = AverageState(prior=PointForecast(params["prior"]))
+            a, step = state.prior, lambda y: average_step(state, y)
+        else:
+            a, step = PointForecast(params["initial"]), naive_step
+        records = []
+        for t, row in enumerate(rows):
+            if t:
+                a = step(rows[t - 1])
+            losses = {"point_pred": point_pred_loss(a, row)}
+            records.append(StageRecord(t=t, w="w0", a=a, y=PointForecast(row), losses=losses))
+        assert replay(name, params, rows).records == tuple(records)
