@@ -3,8 +3,10 @@
 Nash checks are brute force over all joint profiles, the potential is the
 per-slot cumulative utility sum, and the fixed-point solver is a sign-scan
 plus bisection. They call nothing in the policies or the engine, but code is
-shared the other way: partpred takes its candidates from ``candidate_set``,
-and the engine's ``nash`` loss calls ``is_nash`` or ``is_bne``.
+shared the other way: partpred walks the tuple of distributions that
+``candidate_set`` returns, and the engine's ``nash`` loss calls ``is_nash`` or
+``is_bne``. ``prediction_equilibrium_report`` returns plain tuples of
+profiles, one per property, filled in one pass over the game's profiles.
 """
 
 from __future__ import annotations
@@ -134,20 +136,9 @@ def fixed_point_solve(
     raise NoFixedPointError(f"no point with residual <= {tol} on [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Deduplicated outcome distributions of all deterministic strategy profiles."""
-
-    candidates: tuple[DiscreteDistribution, ...]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
-
-
-def candidate_set(game: FiniteCongestionGame | BayesianCongestionGame) -> CandidateSet:
+def candidate_set(
+    game: FiniteCongestionGame | BayesianCongestionGame,
+) -> tuple[DiscreteDistribution, ...]:
     """All candidate forecasts the search policy may announce.
 
     Complete information: the Dirac on every joint profile, lexicographic.
@@ -156,13 +147,13 @@ def candidate_set(game: FiniteCongestionGame | BayesianCongestionGame) -> Candid
     """
     if isinstance(game, FiniteCongestionGame):
         _guard_size(game)
-        return CandidateSet(tuple(DiscreteDistribution.dirac(c) for c in game.profiles()))
+        return tuple(DiscreteDistribution.dirac(c) for c in game.profiles())
     candidates: list[DiscreteDistribution] = []
     for strategy in strategy_profiles(game):
         dist = strategy_outcome_distribution(game, strategy)
         if not any(dist.close_to(seen) for seen in candidates):
             candidates.append(dist)
-    return CandidateSet(tuple(candidates))
+    return tuple(candidates)
 
 
 # --- Bayesian-game machinery -------------------------------------------------
@@ -248,25 +239,19 @@ def bayes_self_fulfilling_candidates(
 
 
 @dataclass(frozen=True)
-class ProfileFinding:
-    profile: JointProfile
-    is_ne: bool
-    is_strict_ne: bool
-    self_fulfilling: bool
-
-
-@dataclass(frozen=True)
 class CorrespondenceReport:
     """Self-fulfilling forecasts versus Nash profiles over the whole candidate set.
 
-    A sound game must show every self-fulfilling Dirac sitting on a Nash
-    profile and every strict Nash profile being self-fulfilling. Non-strict
-    equilibria may legitimately fail to be self-fulfilling under the
-    deterministic tie-break, so they are counted separately rather than
-    flagged.
+    Each field lists profiles in lexicographic order. A sound game must show
+    every self-fulfilling Dirac sitting on a Nash profile and every strict
+    Nash profile being self-fulfilling. Non-strict equilibria may
+    legitimately fail to be self-fulfilling under the deterministic
+    tie-break, so they are counted separately rather than flagged.
     """
 
-    findings: tuple[ProfileFinding, ...]
+    nash: tuple[JointProfile, ...]
+    strict_nash: tuple[JointProfile, ...]
+    self_fulfilling: tuple[JointProfile, ...]
     sf_not_ne: tuple[JointProfile, ...]
     strict_ne_not_sf: tuple[JointProfile, ...]
 
@@ -274,32 +259,16 @@ class CorrespondenceReport:
     def ok(self) -> bool:
         return not self.sf_not_ne and not self.strict_ne_not_sf
 
-    @property
-    def self_fulfilling(self) -> tuple[JointProfile, ...]:
-        return tuple(f.profile for f in self.findings if f.self_fulfilling)
-
-    @property
-    def nash(self) -> tuple[JointProfile, ...]:
-        return tuple(f.profile for f in self.findings if f.is_ne)
-
-    @property
-    def strict_nash(self) -> tuple[JointProfile, ...]:
-        return tuple(f.profile for f in self.findings if f.is_strict_ne)
-
 
 def prediction_equilibrium_report(game: FiniteCongestionGame) -> CorrespondenceReport:
     """Verify the forecast/equilibrium correspondence on one game by brute force."""
     _guard_size(game)
-    findings = []
-    sf_not_ne = []
-    strict_not_sf = []
+    found = [], [], [], [], []  # the report's fields, in order
     for c in game.profiles():
         sf = play_profile(game, DiscreteDistribution.dirac(c)) == c
         ne = is_nash(game, c)
         strict = ne and is_nash(game, c, strict=True)
-        findings.append(ProfileFinding(c, ne, strict, sf))
-        if sf and not ne:
-            sf_not_ne.append(c)
-        if strict and not sf:
-            strict_not_sf.append(c)
-    return CorrespondenceReport(tuple(findings), tuple(sf_not_ne), tuple(strict_not_sf))
+        for holds, profiles in zip((ne, strict, sf, sf and not ne, strict and not sf), found):
+            if holds:
+                profiles.append(c)
+    return CorrespondenceReport(*map(tuple, found))

@@ -29,12 +29,12 @@ from .core import (
     _reject_unknown_keys,
     as_int,
     read_params,
-    trajectory_mse,
 )
 from .engine import (
     SimConfig,
     Trajectory,
     _RecordedEnv,
+    _validate,
     build_game,
     monte_carlo,
     policy_keys,
@@ -64,10 +64,19 @@ class DayMatrix:
         return len(self.rows)
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of path; a file that cannot be read or decoded is an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidConfigError(f"{path}: cannot read: {reason}") from None
+
+
 def parse_day_csv(path: str) -> DayMatrix:
     """Read a day matrix: header of slot labels, one day per row, no gaps."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -113,10 +122,7 @@ def serialize_day_csv(matrix: DayMatrix) -> str:
 def _read_ini(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except FileNotFoundError:
-        raise InvalidConfigError(f"config file not found: {path}")
+        parser.read_string(_read_text(path), source=path)
     except configparser.Error as exc:
         raise InvalidConfigError(f"{path}: {exc}")
     return parser
@@ -150,7 +156,9 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
                 raise InvalidConfigError(f"missing [{section}] section")
         run = parser["run"]
         _reject_unknown_keys("run", run, _RUN_KEYS)
-        setting, name = run.get("setting"), parser["policy"].get("name")
+        read_params(run, {}, "run", ("setting",))
+        read_params(parser["policy"], {}, "policy", ("name",))
+        setting, name = run["setting"], parser["policy"]["name"]
         env_cls = setting_env(setting)
         keys = policy_keys(env_cls, name, "policy.name", f"setting {setting!r}")
         counts = read_params(run, {"stages": as_int, "seed": as_int}, "run", ("stages", "seed"))
@@ -159,20 +167,19 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
             env_params: dict[str, object] = {"game": build_game(parser["environment"])}
         else:
             env_params = _read_section(parser, "environment", env_cls.PARAMS)
-    losses = None
-    if run.get("losses") is not None:
-        losses = tuple(run.get("losses").replace(",", " ").split())
-
-    return SimConfig(
-        setting=setting,
-        policy=name,
-        policy_params=policy_params,
-        env_params=env_params,
-        stages=counts["stages"],
-        seed=counts["seed"] if seed_override is None else seed_override,
-        covariate=run.get("covariate", "w0"),
-        log_losses=losses,
-    )
+        losses = run.get("losses")
+        config = SimConfig(
+            setting=setting,
+            policy=name,
+            policy_params=policy_params,
+            env_params=env_params,
+            stages=counts["stages"],
+            seed=counts["seed"] if seed_override is None else seed_override,
+            covariate=run.get("covariate", "w0"),
+            log_losses=None if losses is None else tuple(losses.replace(",", " ").split()),
+        )
+        _validate(config)  # before any output file exists
+    return config
 
 
 # --- trajectory serialization ---------------------------------------------------
@@ -298,7 +305,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for name, params in specs:
             with _in_file(args.config or args.data):
                 traj = replay(name, params, matrix.rows)
-            results.append((name, trajectory_mse(traj.records)))
+            total = 0.0  # summed left to right: sum() compensates on Python >= 3.12
+            for loss in traj.losses["point_pred"]:
+                total += loss
+            results.append((name, total / len(traj)))
         if out is not None:
             out.write("method,mean_squared_error\n")
             out.writelines(f"{name},{mse!r}\n" for name, mse in results)
@@ -318,7 +328,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     section = "game" if parser.has_section("game") else "environment"
     with _in_file(args.config):
         if not parser.has_section(section):
-            raise InvalidConfigError(f"missing [{section}] section")
+            raise InvalidConfigError("missing [game] section")
         game = build_game(parser[section], section)
         report = analysis.prediction_equilibrium_report(game)
     print(f"game: {game.n} players, {game.d} slots")
@@ -327,8 +337,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"{c.actions}{' [strict]' if c in strict else ''}" for c in report.nash
     ]
     print(f"nash equilibria ({len(ne_cells)}): " + (", ".join(ne_cells) or "none"))
-    # one Dirac candidate per profile, and the report has one finding per profile
-    print(f"candidate set size: {len(report.findings)}")
+    print(f"candidate set size: {game.d ** game.n}")  # one Dirac per profile
     sf_cells = [str(c.actions) for c in report.self_fulfilling]
     print(f"self-fulfilling candidates ({len(sf_cells)}): " + (", ".join(sf_cells) or "none"))
     if report.ok:

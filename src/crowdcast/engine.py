@@ -21,6 +21,7 @@ import numpy as np
 
 from . import analysis, policies
 from .core import (
+    DIST_EQ_TOL,
     DegenerateGainError,
     DiscreteDistribution,
     Forecast,
@@ -448,7 +449,7 @@ class MonteCarloSummary:
     final_forecasts: tuple[Forecast, ...]
 
 
-def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCarloSummary:
+def monte_carlo(config: SimConfig, n_runs: int) -> MonteCarloSummary:
     """Independent seeded replications with per-loss statistics.
 
     Replication k draws its generators from (seed, k); results are merged in
@@ -468,7 +469,7 @@ def monte_carlo(config: SimConfig, n_runs: int, sf_tol: float = 1e-9) -> MonteCa
         final = traj.final.a
         finals.append(final)
         if config.setting == "finite-game" and isinstance(final, DiscreteDistribution):
-            if tv_distance(exact_response(config, final), final) <= sf_tol:
+            if tv_distance(exact_response(config, final), final) <= DIST_EQ_TOL:
                 sf_hits += 1
     means = {name: math.fsum(vals) / n_runs for name, vals in per_run.items()}
     variances = {}

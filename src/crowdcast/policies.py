@@ -27,8 +27,10 @@ per-stage rule (``expodamp_update``, ``average_update``, ``naive_update`` on
 bare tuples, ``kalman_step``, ...), which validates nothing: the engine checks
 each point forecast where its environment takes it. ``expodamp_step``,
 ``average_step`` and ``naive_step`` check the outcome and return the rule's
-forecast as a ``PointForecast``, for callers outside a run. A state instance
-belongs to a single run; distinct instances are independent.
+forecast as a ``PointForecast``, for callers outside a run. ``partpred``
+searches the tuple that ``analysis.candidate_set`` returns, by index and for
+every covariate alike, and never changes it. A state instance belongs to a
+single run; distinct instances are independent.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 
 from . import analysis
 from .core import (
+    DIST_EQ_TOL,
     DegenerateGainError,
     DiscreteDistribution,
     Forecast,
@@ -358,18 +361,16 @@ def _marginal(dist: DiscreteDistribution, i: int) -> dict[int, float]:
     return out
 
 
-def _marginals_differ(m1: Mapping[int, float], m2: Mapping[int, float], tol: float) -> bool:
+def _marginals_differ(m1: Mapping[int, float], m2: Mapping[int, float]) -> bool:
     keys = set(m1) | set(m2)
-    return any(abs(m1.get(k, 0.0) - m2.get(k, 0.0)) > tol for k in keys)
+    return any(abs(m1.get(k, 0.0) - m2.get(k, 0.0)) > DIST_EQ_TOL for k in keys)
 
 
-def update_general(
-    a: DiscreteDistribution, a_prime: DiscreteDistribution, tol: float = 1e-9
-) -> DiscreteDistribution:
+def update_general(a: DiscreteDistribution, a_prime: DiscreteDistribution) -> DiscreteDistribution:
     """Swap in the first differing per-player marginal from a_prime.
 
     The new joint is the product of the swapped marginal with a's distribution
-    over the remaining players; if no marginal differs beyond tol, a is
+    over the remaining players; if no marginal differs beyond DIST_EQ_TOL, a is
     returned unchanged.
     """
     n = _player_count(a)
@@ -377,7 +378,7 @@ def update_general(
         raise ShapeError("distributions are over different player sets")
     for i in range(n):
         new_marginal = _marginal(a_prime, i)
-        if not _marginals_differ(_marginal(a, i), new_marginal, tol):
+        if not _marginals_differ(_marginal(a, i), new_marginal):
             continue
         rest: dict[tuple[int, ...], float] = {}
         for c, p in a.items():
@@ -415,9 +416,8 @@ def _as_update(value: object, path: str) -> str:
 
 @dataclass
 class _CovariateSearch:
-    """Per-covariate bookkeeping of the candidate search."""
+    """Per-covariate bookkeeping of the candidate search, over the state's candidates."""
 
-    candidates: list[DiscreteDistribution]
     current: int
     announce_counts: list[int]
     tallies: list[Counter]
@@ -466,7 +466,7 @@ class PartpredState:
                 f"{section}.update: the congestion update needs a complete-information game"
             )
         return cls(
-            candidates=list(analysis.candidate_set(env.game)),
+            candidates=analysis.candidate_set(env.game),
             r=p["r"],
             update_fn=UPDATE_FNS[update],
             rng=rng,
@@ -499,15 +499,12 @@ class PartpredState:
     def _search_for(self, w: Hashable) -> _CovariateSearch:
         search = self.per_w.get(w)
         if search is None:
-            cands = list(self.candidates)
+            n = len(self.candidates)
             start = self.initial_index
             if start is None:
-                start = int(self.rng.integers(len(cands)))
+                start = int(self.rng.integers(n))
             search = _CovariateSearch(
-                candidates=cands,
-                current=start,
-                announce_counts=[0] * len(cands),
-                tallies=[Counter() for _ in cands],
+                current=start, announce_counts=[0] * n, tallies=[Counter() for _ in range(n)]
             )
             search.update_log.append(start)
             self.per_w[w] = search
@@ -540,28 +537,29 @@ def partpred_step(
         prev.tallies[prev.current][c_observed] += 1
     search = state._search_for(w)
     state.last_w = w
+    candidates = state.candidates
 
     if search.converged:
-        return search.candidates[search.current]
+        return candidates[search.current]
 
     if search.announce_counts[search.current] < state.r:
         search.announce_counts[search.current] += 1
-        return search.candidates[search.current]
+        return candidates[search.current]
 
     # A full group of r outcomes has been observed under the current candidate.
     empirical = DiscreteDistribution.from_mapping(search.tallies[search.current])
-    nearest = search.candidates[_argmin({
-        idx: euclidean_distance(cand, empirical) for idx, cand in enumerate(search.candidates)
+    nearest = candidates[_argmin({
+        idx: euclidean_distance(cand, empirical) for idx, cand in enumerate(candidates)
     })]
-    updated = state.update_fn(search.candidates[search.current], nearest)
-    new_idx = _candidate_index(search.candidates, updated)
+    updated = state.update_fn(candidates[search.current], nearest)
+    new_idx = _candidate_index(candidates, updated)
 
     if new_idx == search.current:
         search.converged = True
     elif all(c >= state.r for c in search.announce_counts):
         search.current = _argmin({
             idx: euclidean_distance(cand, DiscreteDistribution.from_mapping(tally))
-            for idx, (cand, tally) in enumerate(zip(search.candidates, search.tallies))
+            for idx, (cand, tally) in enumerate(zip(candidates, search.tallies))
             if tally
         })
         search.converged = True
@@ -575,7 +573,7 @@ def partpred_step(
         search.announce_counts[search.current] += 1
 
     search.update_log.append(search.current)
-    return search.candidates[search.current]
+    return candidates[search.current]
 
 
 POLICIES = {

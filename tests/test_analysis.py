@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crowdcast.analysis import (
-    CandidateSet,
     NoFixedPointError,
     bayes_self_fulfilling_candidates,
     candidate_set,
@@ -161,7 +160,7 @@ class TestFixedPointSolve:
 class TestCandidateSet:
     def test_complete_information_all_diracs(self):
         cs = candidate_set(crowding_game(2, 2))
-        assert isinstance(cs, CandidateSet)
+        assert isinstance(cs, tuple)
         assert len(cs) == 4
         assert all(len(c.support) == 1 for c in cs)
 
@@ -256,4 +255,10 @@ class TestCorrespondenceReport:
 
     def test_zero_violations_on_corpus_sample(self, game_corpus):
         for game in game_corpus[:25]:
-            assert prediction_equilibrium_report(game).ok
+            report = prediction_equilibrium_report(game)
+            assert report.ok
+            assert report.nash == tuple(enumerate_nash(game))
+            assert report.strict_nash == tuple(enumerate_nash(game, strict=True))
+            assert report.self_fulfilling == tuple(
+                c for c in game.profiles() if play_profile(game, D.dirac(c)) == c
+            )

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crowdcast import analysis
 from crowdcast.cli import (
     DayMatrix,
     load_sim_config,
@@ -13,8 +14,9 @@ from crowdcast.cli import (
     serialize_day_csv,
     trajectory_csv,
 )
-from crowdcast.core import EmptyInputError, ParseError
+from crowdcast.core import EmptyInputError, JointProfile, ParseError
 from crowdcast.engine import closed_form_trajectory, run_dynamic
+from crowdcast.environments import crowding_game
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -276,6 +278,17 @@ class TestAnalyzeCommand:
         assert "self-fulfilling candidates (2): (0, 1), (1, 0)" in out
         assert "correspondence: OK" in out
 
+    def test_wrong_responder_is_flagged(self, monkeypatch, capsys):
+        # everyone answers slot 0: (0, 0) becomes self-fulfilling but is no equilibrium,
+        # and the two strict equilibria stop being self-fulfilling
+        monkeypatch.setattr(analysis, "play_profile", lambda game, a: JointProfile((0,) * game.n))
+        report = analysis.prediction_equilibrium_report(crowding_game(2, 2))
+        assert not report.ok
+        assert report.sf_not_ne == (JointProfile((0, 0)),)
+        assert report.strict_ne_not_sf == (JointProfile((0, 1)), JointProfile((1, 0)))
+        assert main(["analyze", "--config", str(CONFIG_DIR / "crowding_game.ini")]) == 0
+        assert "correspondence: VIOLATED (self-fulfilling but not NE: " in capsys.readouterr().out
+
     def test_constant_game_notes_vacuous_direction(self, tmp_path, capsys):
         config = write(
             tmp_path / "flat.ini",
@@ -410,6 +423,14 @@ NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
         # naive has no default opening forecast in a simulated setting
         ("simulate", LINEAR_RUN + "[policy]\nname = naive\n" + LINEAR_ENV,
          "policy.initial: required parameter missing"),
+        ("simulate", LINEAR_RUN.replace("setting = linear\n", "") + "[policy]\nname = expodamp\n"
+         "alpha = 0.5\n" + LINEAR_ENV, "run.setting: required parameter missing"),
+        ("simulate", LINEAR_RUN + "[policy]\nalpha = 0.5\n" + LINEAR_ENV,
+         "policy.name: required parameter missing"),
+        ("simulate", LINEAR_RUN.replace("stages = 5", "stages = 0") + "[policy]\nname = expodamp\n"
+         "alpha = 0.5\n" + LINEAR_ENV, "run.stages: need at least one stage"),
+        ("evaluate", "[expodamp]\nalpha = 0.5\n", "missing [evaluate] section"),
+        ("analyze", "[games]\nplayers = 2\n", "missing [game] section"),
     ],
     ids=[
         "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
@@ -417,7 +438,8 @@ NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
         "vector-initial-nonatomic", "vector-prior-nonatomic", "vector-prior-linear",
         "wide-initial-evaluate", "narrow-prior-evaluate", "profile-key-on-linear",
         "point-key-on-finite-game", "profile-key-in-evaluate", "replay-as-setting",
-        "kalman-in-evaluate", "naive-without-initial",
+        "kalman-in-evaluate", "naive-without-initial", "no-setting", "no-policy-name",
+        "zero-stages", "no-evaluate-section", "no-game-section",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
@@ -429,6 +451,63 @@ def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, com
         argv += ["--runs", "2"]
     assert main(argv) == 2
     assert f"{config}: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "run", [LINEAR_RUN.replace("stages = 5", "stages = 0"), LINEAR_RUN + "losses = pred\n"],
+    ids=["zero-stages", "pred-on-linear"],
+)
+def test_config_error_exits_2_before_any_output_file(tmp_path, capsys, run):
+    config = write(tmp_path / "bad.ini", run + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV)
+    out, plot = tmp_path / "out.csv", tmp_path / "plot.csv"
+    assert main(["simulate", "--config", config, "--out", str(out), "--emit-plot-data", str(plot)]) == 2
+    assert f"error: {config}: run." in capsys.readouterr().err
+    assert not out.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, content, reason",
+    [
+        ("evaluate", "--data", None, "No such file or directory"),
+        ("evaluate", "--data", "dir", "Is a directory"),
+        ("simulate", "--config", "dir", "Is a directory"),
+        ("monte-carlo", "--config", "dir", "Is a directory"),
+        ("analyze", "--config", None, "No such file or directory"),
+        ("evaluate", "--data", b"a,b\n1,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        ("simulate", "--config", b"[run]\n; caf\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+        ("evaluate", "--config", b"[evaluate]\n; \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=[
+        "missing-csv", "csv-is-dir", "simulate-ini-is-dir", "monte-carlo-ini-is-dir",
+        "missing-game-file", "csv-not-utf8", "simulate-ini-not-utf8", "evaluate-ini-not-utf8",
+    ],
+)
+def test_unreadable_file_exits_2_naming_it(tmp_path, capsys, command, flag, content, reason):
+    path = tmp_path / "input"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    argv = [command, flag, str(path)]
+    if command == "evaluate" and flag == "--config":
+        argv += ["--data", write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")]
+    if command == "monte-carlo":
+        argv += ["--runs", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: cannot read: {reason}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a,,b\n1,2,3\n", ":1: empty column label"), ("a,b\n", ": header but no day rows")],
+    ids=["empty-label", "header-only"],
+)
+def test_bad_day_csv_exits_2_naming_the_file(tmp_path, capsys, text, message):
+    data = write(tmp_path / "days.csv", text)
+    assert main(["evaluate", "--data", data]) == 2
+    assert capsys.readouterr().err == f"error: {data}{message}\n"
 
 
 @pytest.mark.parametrize(
