@@ -47,6 +47,7 @@ from .engine import (
 logger = logging.getLogger("crowdcast")
 
 _RUN_KEYS = {"setting", "stages", "seed", "covariate", "losses"}
+_SIM_SECTIONS = ("run", "policy", "environment")
 
 
 # --- day-matrix CSV ------------------------------------------------------------
@@ -137,6 +138,12 @@ def _in_file(path: str) -> Iterator[None]:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def _reject_unknown_sections(parser: configparser.ConfigParser, allowed: Sequence[str]) -> None:
+    for name in parser.sections():
+        if name not in allowed:
+            raise InvalidConfigError(f"[{name}]: unknown section; allowed: {', '.join(allowed)}")
+
+
 def _read_section(
     parser: configparser.ConfigParser, section: str, spec: Mapping, extra: Sequence[str] = ()
 ) -> dict[str, object]:
@@ -151,9 +158,10 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
         raise InvalidConfigError(f"--seed: expected a nonnegative integer, got {seed_override}")
     parser = _read_ini(path)
     with _in_file(path):
-        for section in ("run", "policy", "environment"):
+        for section in _SIM_SECTIONS:
             if not parser.has_section(section):
                 raise InvalidConfigError(f"missing [{section}] section")
+        _reject_unknown_sections(parser, _SIM_SECTIONS)
         run = parser["run"]
         _reject_unknown_keys("run", run, _RUN_KEYS)
         read_params(run, {}, "run", ("setting",))
@@ -281,6 +289,7 @@ def _evaluate_specs(path: str | None) -> list[tuple[str, dict[str, object]]]:
     with _in_file(path):
         if not parser.has_section("evaluate"):
             raise InvalidConfigError("missing [evaluate] section")
+        _reject_unknown_sections(parser, ("evaluate", *_RecordedEnv.POLICIES))
         _reject_unknown_keys("evaluate", parser["evaluate"], {"policies"})
         names = parser["evaluate"].get("policies", "").replace(",", " ").split()
         if not names:
@@ -329,23 +338,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with _in_file(args.config):
         if not parser.has_section(section):
             raise InvalidConfigError("missing [game] section")
+        _reject_unknown_sections(parser, ("game",) if section == "game" else _SIM_SECTIONS)
         game = build_game(parser[section], section)
         report = analysis.prediction_equilibrium_report(game)
+
+    def cells(profiles, mark=()) -> str:
+        """The profiles as slot tuples, those in mark flagged strict; "none" for no profile."""
+        marked = (f"{c.actions}{' [strict]' if c in mark else ''}" for c in profiles)
+        return ", ".join(marked) or "none"
+
     print(f"game: {game.n} players, {game.d} slots")
     strict = set(report.strict_nash)
-    ne_cells = [
-        f"{c.actions}{' [strict]' if c in strict else ''}" for c in report.nash
-    ]
-    print(f"nash equilibria ({len(ne_cells)}): " + (", ".join(ne_cells) or "none"))
+    print(f"nash equilibria ({len(report.nash)}): {cells(report.nash, strict)}")
     print(f"candidate set size: {game.d ** game.n}")  # one Dirac per profile
-    sf_cells = [str(c.actions) for c in report.self_fulfilling]
-    print(f"self-fulfilling candidates ({len(sf_cells)}): " + (", ".join(sf_cells) or "none"))
+    sf = report.self_fulfilling
+    print(f"self-fulfilling candidates ({len(sf)}): {cells(sf)}")
     if report.ok:
         print("correspondence: OK (0 violations)")
     else:
         print(
-            f"correspondence: VIOLATED (self-fulfilling but not NE: {report.sf_not_ne}; "
-            f"strict NE not self-fulfilling: {report.strict_ne_not_sf})"
+            f"correspondence: VIOLATED (self-fulfilling but not NE: {cells(report.sf_not_ne)}; "
+            f"strict NE not self-fulfilling: {cells(report.strict_ne_not_sf)})"
         )
     if not strict:
         print("note: no strict equilibrium, so the strict-NE direction is vacuous here")

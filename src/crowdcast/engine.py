@@ -369,7 +369,7 @@ def _start(config: SimConfig, run_index: int):
     return env, policy_cls.from_params(config.policy_params, policy_rng, env, "policy")
 
 
-def _holds(w: str, stages: int, env, policy) -> Iterator[tuple[object, list]]:
+def _holds(stages: int, env, policy) -> Iterator[tuple[object, list]]:
     """Run the stages, yielding (a, ys) per hold: the outcomes ys of stages that all announce a.
 
     The policy is asked for its forecast strictly before the environment
@@ -383,7 +383,7 @@ def _holds(w: str, stages: int, env, policy) -> Iterator[tuple[object, list]]:
     y_prev: object = None
     try:
         while t < stages:
-            a = policy.forecast(w, y_prev)
+            a = policy.forecast(y_prev)
             h = policy.hold()
             if h == 1:
                 ys = [env.respond(a)]
@@ -406,7 +406,7 @@ def _trajectory(w: str, stages: int, env, policy, names: Sequence[str], digest: 
     loss_fns = [(getattr(env, name), []) for name in names]
     a_col: list[object] = []
     y_col: list[object] = []
-    for a, ys in _holds(w, stages, env, policy):
+    for a, ys in _holds(stages, env, policy):
         h = len(ys)
         a_col += [a] * h
         y_col += ys
@@ -427,9 +427,9 @@ def run_dynamic(config: SimConfig, run_index: int = 0) -> Trajectory:
 def policy_summary(config: SimConfig, run_index: int = 0) -> dict[str, object]:
     """Re-run the whole simulation and report the policy's final internal flags."""
     env, policy = _start(config, run_index)
-    for _ in _holds(config.covariate, config.stages, env, policy):
+    for _ in _holds(config.stages, env, policy):
         pass
-    return policy.summary()
+    return policy.summary(config.covariate)
 
 
 def exact_response(config: SimConfig, forecast: DiscreteDistribution) -> DiscreteDistribution:

@@ -12,15 +12,16 @@ Each policy is one mutable state class with one interface:
 - ``from_params(params, rng, env, section)`` builds the state for one run from
   those keys, the run's policy generator and the environment adapter, naming
   a bad key as ``section.key``;
-- ``forecast(w, y_prev)`` announces the forecast for covariate w, given the
-  previous stage's outcome (None on the first stage); point policies take and
-  announce bare value tuples, the ``values`` of a ``PointForecast``;
+- ``forecast(y_prev)`` announces the forecast, given the previous stage's
+  outcome (None on the first stage); point policies take and announce bare
+  value tuples, the ``values`` of a ``PointForecast``;
 - ``hold()``, asked right after ``forecast``, is the number of coming stages,
   the one just announced included, over which the policy will announce that
   same forecast whatever it observes; the loop skips ``forecast`` on the
   held stages and, where ``hold()`` exceeds 1, hands their outcomes over in
   one ``observe_held(ys)`` call;
-- ``summary()`` reports the final internal flags.
+- ``summary(w)`` reports the final internal flags; partpred labels its
+  convergence flag with the run's covariate w.
 
 ``POLICIES`` maps each policy name to its class. ``forecast`` calls the
 per-stage rule (``expodamp_update``, ``average_update``, ``naive_update`` on
@@ -28,9 +29,9 @@ bare tuples, ``kalman_step``, ...), which validates nothing: the engine checks
 each point forecast where its environment takes it. ``expodamp_step``,
 ``average_step`` and ``naive_step`` check the outcome and return the rule's
 forecast as a ``PointForecast``, for callers outside a run. ``partpred``
-searches the tuple that ``analysis.candidate_set`` returns, by index and for
-every covariate alike, and never changes it. A state instance belongs to a
-single run; distinct instances are independent.
+searches the tuple that ``analysis.candidate_set`` returns, by index, and
+never changes it. A state instance belongs to a single run; distinct
+instances are independent.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class _EveryStage:
     def hold(self) -> int:
         return 1
 
-    def summary(self) -> dict[str, object]:
+    def summary(self, w: str) -> dict[str, object]:
         return {}
 
 
@@ -97,7 +98,7 @@ class ExpodampState(_EveryStage):
         p = read_params(params, cls.PARAMS["point"], section, ("alpha",))
         return cls(a=PointForecast(_opening_point(cls, p, env, section)), alpha=p["alpha"])
 
-    def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
+    def forecast(self, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
         if y_prev is not None:
             self.values = expodamp_update(self.values, self.alpha, y_prev)
         return self.values
@@ -180,7 +181,7 @@ class NaiveState(_EveryStage):
         p = read_params(params, cls.PARAMS["point"], section, () if env.recorded else ("initial",))
         return cls(_opening_point(cls, p, env, section))
 
-    def forecast(self, w: str, y_prev: object) -> tuple[float, ...] | DiscreteDistribution:
+    def forecast(self, y_prev: object) -> tuple[float, ...] | DiscreteDistribution:
         return self.initial if y_prev is None else naive_update(y_prev)
 
 
@@ -200,7 +201,7 @@ class AverageState(_EveryStage):
         p = read_params(params, cls.PARAMS["point"], section)
         return cls(prior=PointForecast(_opening_point(cls, p, env, section)))
 
-    def forecast(self, w: str, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
+    def forecast(self, y_prev: tuple[float, ...] | None) -> tuple[float, ...]:
         if y_prev is not None:
             self.sum = average_update(self.sum or (0.0,) * len(y_prev), y_prev)
             self.count += 1
@@ -217,7 +218,7 @@ def average_step(state: AverageState, y_prev: Sequence[float]) -> PointForecast:
     y = tuple(float(v) for v in y_prev)
     if state.sum and len(y) != len(state.sum):
         raise ShapeError("observation length changed mid-run")
-    return PointForecast(state.forecast("", y))
+    return PointForecast(state.forecast(y))
 
 
 @dataclass
@@ -233,7 +234,7 @@ class EmpiricalDistributionState(_EveryStage):
     def from_params(cls, params, rng, env, section) -> "EmpiricalDistributionState":
         return cls(prior=_opening_profile(params, env, section))
 
-    def forecast(self, w: str, y_prev: object) -> Forecast:
+    def forecast(self, y_prev: object) -> Forecast:
         if y_prev is None:
             return self.prior
         return empirical_step(self, y_prev)
@@ -277,12 +278,12 @@ class KalmanPolicyState(_EveryStage):
         state.a_prev = a0
         return state
 
-    def forecast(self, w: str, y_prev: tuple[float] | None) -> tuple[float]:
+    def forecast(self, y_prev: tuple[float] | None) -> tuple[float]:
         if y_prev is not None:
             self.a_prev = kalman_step(self, self.a_prev, y_prev[0])
         return (self.a_prev,)
 
-    def summary(self) -> dict[str, object]:
+    def summary(self, w: str) -> dict[str, object]:
         return {"x_mean": self.x_mean, "x_var": self.x_var}
 
 
@@ -415,25 +416,13 @@ def _as_update(value: object, path: str) -> str:
 
 
 @dataclass
-class _CovariateSearch:
-    """Per-covariate bookkeeping of the candidate search, over the state's candidates."""
-
-    current: int
-    announce_counts: list[int]
-    tallies: list[Counter]
-    converged: bool = False
-    exploration_used: bool = False
-    update_log: list[int] = field(default_factory=list)
-
-
-@dataclass
 class PartpredState:
     """Group-wise trial of candidate forecasts until a fixed point is confirmed.
 
-    Each candidate is announced for r consecutive stages of its covariate;
-    the empirical outcome distribution of that group then drives the next
-    candidate via the configured update function. Once convergence is
-    flagged for a covariate its output never changes again.
+    Each candidate is announced for r consecutive stages; the empirical
+    outcome distribution of that group then drives the next candidate via the
+    configured update function. Once convergence is flagged the output never
+    changes again.
     """
 
     candidates: Sequence[DiscreteDistribution]
@@ -441,8 +430,12 @@ class PartpredState:
     update_fn: UpdateFn
     rng: np.random.Generator
     initial_index: int | None = None
-    per_w: dict[Hashable, _CovariateSearch] = field(default_factory=dict)
-    last_w: Hashable | None = None
+    current: int = field(init=False)
+    announce_counts: list[int] = field(init=False)
+    tallies: list[Counter] = field(init=False)
+    converged: bool = field(init=False, default=False)
+    exploration_used: bool = field(init=False, default=False)
+    update_log: list[int] = field(init=False)
 
     PARAMS = {"profile": {"r": as_int, "update": _as_update, "initial_index": as_int}}
 
@@ -452,10 +445,15 @@ class PartpredState:
         n = len(self.candidates)
         if not n:
             raise InvalidConfigError("partpred.candidates: empty candidate set")
-        if self.initial_index is not None and not -n <= self.initial_index < n:
-            raise InvalidConfigError(
-                f"policy.initial_index: {self.initial_index} is outside the {n} candidates"
-            )
+        start = self.initial_index
+        if start is None:
+            start = int(self.rng.integers(n))
+        elif not -n <= start < n:
+            raise InvalidConfigError(f"policy.initial_index: {start} is outside the {n} candidates")
+        self.current = start % n  # a negative index counts from the end
+        self.announce_counts = [0] * n
+        self.tallies = [Counter() for _ in range(n)]
+        self.update_log = [self.current]
 
     @classmethod
     def from_params(cls, params, rng, env, section) -> "PartpredState":
@@ -473,45 +471,23 @@ class PartpredState:
             initial_index=p.get("initial_index"),
         )
 
-    def forecast(self, w: str, y_prev: object) -> Forecast:
-        return partpred_step(self, w, y_prev)
+    def forecast(self, y_prev: object) -> Forecast:
+        return partpred_step(self, y_prev)
 
     def hold(self) -> int:
         """The rest of the current group, or of the run once the search has converged."""
-        search = self.per_w[self.last_w]
-        if search.converged:
+        if self.converged:
             return sys.maxsize
-        return self.r - search.announce_counts[search.current] + 1
+        return self.r - self.announce_counts[self.current] + 1
 
     def observe_held(self, ys: Sequence[JointProfile]) -> None:
         """Take the outcomes of held stages, as the skipped partpred_step calls would."""
-        search = self.per_w[self.last_w]
-        search.tallies[search.current].update(ys)
-        if not search.converged:
-            search.announce_counts[search.current] += len(ys)
+        self.tallies[self.current].update(ys)
+        if not self.converged:
+            self.announce_counts[self.current] += len(ys)
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "converged": {str(w): s.converged for w, s in self.per_w.items()},
-            "exploration_used": self.exploration_used_anywhere(),
-        }
-
-    def _search_for(self, w: Hashable) -> _CovariateSearch:
-        search = self.per_w.get(w)
-        if search is None:
-            n = len(self.candidates)
-            start = self.initial_index
-            if start is None:
-                start = int(self.rng.integers(n))
-            search = _CovariateSearch(
-                current=start, announce_counts=[0] * n, tallies=[Counter() for _ in range(n)]
-            )
-            search.update_log.append(start)
-            self.per_w[w] = search
-        return search
-
-    def exploration_used_anywhere(self) -> bool:
-        return any(s.exploration_used for s in self.per_w.values())
+    def summary(self, w: str) -> dict[str, object]:
+        return {"converged": {str(w): self.converged}, "exploration_used": self.exploration_used}
 
 
 def _argmin(dists: Mapping[int, float]) -> int:
@@ -528,52 +504,47 @@ def _candidate_index(
     raise InvalidConfigError("update produced a forecast outside the candidate set")
 
 
-def partpred_step(
-    state: PartpredState, w: Hashable, c_observed: JointProfile | None
-) -> DiscreteDistribution:
-    """Record the previous outcome, then announce this stage's candidate for w."""
-    if c_observed is not None and state.last_w is not None:
-        prev = state.per_w[state.last_w]
-        prev.tallies[prev.current][c_observed] += 1
-    search = state._search_for(w)
-    state.last_w = w
+def partpred_step(state: PartpredState, c_observed: JointProfile | None) -> DiscreteDistribution:
+    """Record the previous outcome, then announce this stage's candidate."""
+    if c_observed is not None:
+        state.tallies[state.current][c_observed] += 1
     candidates = state.candidates
 
-    if search.converged:
-        return candidates[search.current]
+    if state.converged:
+        return candidates[state.current]
 
-    if search.announce_counts[search.current] < state.r:
-        search.announce_counts[search.current] += 1
-        return candidates[search.current]
+    if state.announce_counts[state.current] < state.r:
+        state.announce_counts[state.current] += 1
+        return candidates[state.current]
 
     # A full group of r outcomes has been observed under the current candidate.
-    empirical = DiscreteDistribution.from_mapping(search.tallies[search.current])
+    empirical = DiscreteDistribution.from_mapping(state.tallies[state.current])
     nearest = candidates[_argmin({
         idx: euclidean_distance(cand, empirical) for idx, cand in enumerate(candidates)
     })]
-    updated = state.update_fn(candidates[search.current], nearest)
+    updated = state.update_fn(candidates[state.current], nearest)
     new_idx = _candidate_index(candidates, updated)
 
-    if new_idx == search.current:
-        search.converged = True
-    elif all(c >= state.r for c in search.announce_counts):
-        search.current = _argmin({
+    if new_idx == state.current:
+        state.converged = True
+    elif all(c >= state.r for c in state.announce_counts):
+        state.current = _argmin({
             idx: euclidean_distance(cand, DiscreteDistribution.from_mapping(tally))
-            for idx, (cand, tally) in enumerate(zip(candidates, search.tallies))
+            for idx, (cand, tally) in enumerate(zip(candidates, state.tallies))
             if tally
         })
-        search.converged = True
-    elif search.announce_counts[new_idx] >= state.r:
-        unused = [idx for idx, c in enumerate(search.announce_counts) if c == 0]
-        search.exploration_used = True
-        search.current = unused[int(state.rng.integers(len(unused)))]
-        search.announce_counts[search.current] += 1
+        state.converged = True
+    elif state.announce_counts[new_idx] >= state.r:
+        unused = [idx for idx, c in enumerate(state.announce_counts) if c == 0]
+        state.exploration_used = True
+        state.current = unused[int(state.rng.integers(len(unused)))]
+        state.announce_counts[state.current] += 1
     else:
-        search.current = new_idx
-        search.announce_counts[search.current] += 1
+        state.current = new_idx
+        state.announce_counts[state.current] += 1
 
-    search.update_log.append(search.current)
-    return candidates[search.current]
+    state.update_log.append(state.current)
+    return candidates[state.current]
 
 
 POLICIES = {

@@ -229,16 +229,15 @@ def test_criterion_5_partpred_congestion_directed(game_corpus):
         )
         c_prev = None
         for _ in range(2 * len(candidates) + 10):
-            a = partpred_step(state, "w0", c_prev)
+            a = partpred_step(state, c_prev)
             c_prev = play_profile(game, a)
-        search = state.per_w["w0"]
-        assert search.converged, f"game {idx} never converged"
-        assert not search.exploration_used, f"game {idx} needed undirected search"
-        final = candidates[search.current]
+        assert state.converged, f"game {idx} never converged"
+        assert not state.exploration_used, f"game {idx} needed undirected search"
+        final = candidates[state.current]
         response = play_profile(game, final)
         assert tv_distance(D.dirac(response), final) == 0.0, f"game {idx} not self-fulfilling"
         # potential strictly increases at every update until the convergence repeat
-        walk = [candidates[i].support[0] for i in search.update_log]
+        walk = [candidates[i].support[0] for i in state.update_log]
         for prev, nxt in zip(walk, walk[1:]):
             if prev == nxt:
                 assert potential(game, nxt) == potential(game, prev)

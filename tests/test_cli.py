@@ -287,7 +287,10 @@ class TestAnalyzeCommand:
         assert report.sf_not_ne == (JointProfile((0, 0)),)
         assert report.strict_ne_not_sf == (JointProfile((0, 1)), JointProfile((1, 0)))
         assert main(["analyze", "--config", str(CONFIG_DIR / "crowding_game.ini")]) == 0
-        assert "correspondence: VIOLATED (self-fulfilling but not NE: " in capsys.readouterr().out
+        assert (
+            "correspondence: VIOLATED (self-fulfilling but not NE: (0, 0); "
+            "strict NE not self-fulfilling: (0, 1), (1, 0))\n"
+        ) in capsys.readouterr().out
 
     def test_constant_game_notes_vacuous_direction(self, tmp_path, capsys):
         config = write(
@@ -431,6 +434,15 @@ NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
          "alpha = 0.5\n" + LINEAR_ENV, "run.stages: need at least one stage"),
         ("evaluate", "[expodamp]\nalpha = 0.5\n", "missing [evaluate] section"),
         ("analyze", "[games]\nplayers = 2\n", "missing [game] section"),
+        # a section no subcommand reads, often a misspelt one next to the right one
+        ("simulate", LINEAR_RUN + "[policy]\nname = expodamp\nalpha = 0.5\n" + LINEAR_ENV
+         + "[enviroment]\nbeta = 0.9\n", "[enviroment]: unknown section; allowed: run, policy, environment"),
+        ("monte-carlo", LINEAR_RUN + "[policy]\nname = average\n[polcy]\n" + LINEAR_ENV,
+         "[polcy]: unknown section; allowed: run, policy, environment"),
+        ("evaluate", "[evaluate]\npolicies = expodamp\n[expodmap]\nalpha = 0.5\n",
+         "[expodmap]: unknown section; allowed: evaluate, expodamp, average, naive"),
+        ("analyze", "[game]\nplayers = 1\nslots = 2\nslot_0 = 1\nslot_1 = 0\n" + GAME_ENV,
+         "[environment]: unknown section; allowed: game"),
     ],
     ids=[
         "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
@@ -439,7 +451,8 @@ NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
         "wide-initial-evaluate", "narrow-prior-evaluate", "profile-key-on-linear",
         "point-key-on-finite-game", "profile-key-in-evaluate", "replay-as-setting",
         "kalman-in-evaluate", "naive-without-initial", "no-setting", "no-policy-name",
-        "zero-stages", "no-evaluate-section", "no-game-section",
+        "zero-stages", "no-evaluate-section", "no-game-section", "simulate-unknown-section",
+        "monte-carlo-unknown-section", "evaluate-unknown-section", "analyze-game-and-environment",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):

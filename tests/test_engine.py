@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from crowdcast.analysis import is_nash
+from crowdcast.analysis import candidate_set, is_nash
 from crowdcast.core import (
     DiscreteDistribution,
     InvalidConfigError,
@@ -378,7 +378,7 @@ def stage_by_stage(config):
     records = []
     y_prev = None
     for t in range(config.stages):
-        a = policy.forecast(config.covariate, y_prev)
+        a = policy.forecast(y_prev)
         y = env.respond(a)
         losses = {name: getattr(env, name)(a) for name in config.losses()}
         records.append(StageRecord(t=t, w=config.covariate, a=a, y=y, losses=losses))
@@ -397,16 +397,40 @@ def partpred_config(game, r, stages, seed, update="congestion"):
     )
 
 
+def test_partpred_search_stays_within_its_convergence_bound(bayes_corpus):
+    """The abstract's convergence guarantee, observed at criterion 6's settings.
+
+    With K candidates and groups of r stages, every run converges within the
+    (K + 1)·r + 10 stage budget, having tried each candidate at most once.
+    """
+    r = 200
+    for game in bayes_corpus:
+        k = len(candidate_set(game))
+        cfg = partpred_config(game, r, (k + 1) * r + 10, seed=606, update="general")
+        for run_index in range(10):
+            env, policy = _start(cfg, run_index)
+            for _ in _holds(cfg.stages, env, policy):
+                pass
+            assert policy.converged
+            assert len(policy.update_log) <= k + 1
+            assert sum(policy.announce_counts) <= k * r
+
+
 class TestHoldLoop:
     """Holds skip the policy on held stages; the run must equal the stage-by-stage one."""
+
+    SEARCH_FIELDS = ("current", "announce_counts", "tallies", "converged", "exploration_used", "update_log")
 
     def assert_same_run(self, cfg):
         records, reference = stage_by_stage(cfg)
         assert run_dynamic(cfg).records == tuple(records)
-        assert policy_summary(cfg) == reference.summary()
+        assert policy_summary(cfg) == reference.summary(cfg.covariate)
         env, policy = _start(cfg, 0)
-        assert sum(len(ys) for _, ys in _holds(cfg.covariate, cfg.stages, env, policy)) == cfg.stages
-        assert policy.per_w == reference.per_w  # tallies, group counts and candidate walk
+        assert sum(len(ys) for _, ys in _holds(cfg.stages, env, policy)) == cfg.stages
+        # tallies, group counts and candidate walk; the generators compare by identity
+        assert [getattr(policy, f) for f in self.SEARCH_FIELDS] == [
+            getattr(reference, f) for f in self.SEARCH_FIELDS
+        ]
 
     # With r = 2 or r = 200 these stage counts end inside a group.
     @pytest.mark.parametrize("stages", [1, 7, 450, 1203])

@@ -224,7 +224,7 @@ class TestEmpirical:
         assert out.prob(J((0, 0))) == pytest.approx(0.5)
 
 
-def single_covariate_state(candidates, r, update_fn, seed=0, initial_index=None):
+def partpred_state(candidates, r, update_fn, seed=0, initial_index=None):
     return PartpredState(
         candidates=list(candidates),
         r=r,
@@ -238,75 +238,85 @@ class TestPartpred:
     def test_initial_index_outside_the_candidates_rejected_at_construction(self):
         cands = [D.dirac(c) for c in crowding_game(2, 2).profiles()]
         with pytest.raises(InvalidConfigError, match="policy.initial_index: 99 is outside the 4 candidates"):
-            single_covariate_state(cands, r=1, update_fn=congestion_update_fn, initial_index=99)
+            partpred_state(cands, r=1, update_fn=congestion_update_fn, initial_index=99)
 
     def test_self_fulfilling_candidate_detected_immediately(self):
         game = crowding_game(2, 2)
         cands = [D.dirac(c) for c in game.profiles()]
         start = cands.index(D.dirac(J((0, 1))))
-        state = single_covariate_state(cands, r=1, update_fn=congestion_update_fn, initial_index=start)
-        a0 = partpred_step(state, "w", None)
+        state = partpred_state(cands, r=1, update_fn=congestion_update_fn, initial_index=start)
+        a0 = partpred_step(state, None)
         assert a0 == D.dirac(J((0, 1)))
-        a1 = partpred_step(state, "w", play_profile(game, a0))
+        a1 = partpred_step(state, play_profile(game, a0))
         assert a1 == a0
-        assert state.per_w["w"].converged
+        assert state.converged
 
     def test_congestion_walk_reaches_strict_equilibrium(self):
         game = crowding_game(2, 2)
         cands = [D.dirac(c) for c in game.profiles()]
         start = cands.index(D.dirac(J((0, 0))))
-        state = single_covariate_state(cands, r=1, update_fn=congestion_update_fn, initial_index=start)
+        state = partpred_state(cands, r=1, update_fn=congestion_update_fn, initial_index=start)
         announced = []
         c_prev = None
         for _ in range(8):
-            a = partpred_step(state, "w", c_prev)
+            a = partpred_step(state, c_prev)
             announced.append(a)
             c_prev = play_profile(game, a)
         # one collision-free step from the best responses, then confirmation
         assert announced[0] == D.dirac(J((0, 0)))
         assert announced[1] == D.dirac(J((1, 0)))
-        assert state.per_w["w"].converged
+        assert state.converged
         final = announced[-1].support[0]
         assert final == J((1, 0))
         assert is_nash(game, final, strict=True)
-        assert not state.per_w["w"].exploration_used
+        assert not state.exploration_used
 
     def test_exploration_branch_and_forced_convergence(self):
         cands = [D.dirac(J((k,))) for k in range(3)]
-        state = single_covariate_state(cands, r=1, update_fn=update_general, initial_index=0)
-        assert partpred_step(state, "w", None) == cands[0]
+        state = partpred_state(cands, r=1, update_fn=update_general, initial_index=0)
+        assert partpred_step(state, None) == cands[0]
         # outcome (1,) pulls the update to candidate 1, untried so far
-        assert partpred_step(state, "w", J((1,))) == cands[1]
+        assert partpred_step(state, J((1,))) == cands[1]
         # outcome (0,) pulls back to candidate 0, already tried: random unused pick
-        out = partpred_step(state, "w", J((0,)))
+        out = partpred_step(state, J((0,)))
         assert out == cands[2]
-        assert state.per_w["w"].exploration_used
+        assert state.exploration_used
         # outcome (0,) again: update points at tried candidate 0, but now all are
         # tried, so convergence is forced at the best-fitting candidate
-        final = partpred_step(state, "w", J((0,)))
-        assert state.per_w["w"].converged
+        final = partpred_step(state, J((0,)))
+        assert state.converged
         assert final == cands[0]
+
+    def test_negative_initial_index_names_the_same_candidate(self):
+        cands = [D.dirac(J((k,))) for k in range(3)]
+        for start in (2, -1):
+            state = partpred_state(cands, r=1, update_fn=update_general, initial_index=start)
+            # every outcome is (2,), so the starting candidate is the fixed point
+            outs = [partpred_step(state, c) for c in (None, J((2,)), J((2,)))]
+            assert outs == [cands[2]] * 3
+            assert state.converged and not state.exploration_used
+            assert state.update_log == [2, 2]
 
     def test_single_candidate_converges_after_first_group(self):
         cands = [D.dirac(J((0,)))]
-        state = single_covariate_state(cands, r=2, update_fn=update_general, initial_index=0)
-        partpred_step(state, "w", None)
-        partpred_step(state, "w", J((0,)))
-        assert not state.per_w["w"].converged
-        partpred_step(state, "w", J((0,)))
-        assert state.per_w["w"].converged
+        state = partpred_state(cands, r=2, update_fn=update_general, initial_index=0)
+        partpred_step(state, None)
+        partpred_step(state, J((0,)))
+        assert not state.converged
+        partpred_step(state, J((0,)))
+        assert state.converged
 
     def test_converged_output_never_changes(self):
         game = crowding_game(2, 2)
         cands = [D.dirac(c) for c in game.profiles()]
-        state = single_covariate_state(cands, r=1, update_fn=congestion_update_fn, initial_index=1)
+        state = partpred_state(cands, r=1, update_fn=congestion_update_fn, initial_index=1)
         c_prev = None
         outputs = []
         for _ in range(20):
-            a = partpred_step(state, "w", c_prev)
+            a = partpred_step(state, c_prev)
             outputs.append(a)
             c_prev = play_profile(game, a)
-        assert state.per_w["w"].converged
+        assert state.converged
         settled = outputs[-1]
         assert all(a == settled for a in outputs[-10:])
 
@@ -315,11 +325,11 @@ class TestPartpred:
         cands = [D.dirac(c) for c in game.profiles()]
 
         def run(seed):
-            state = single_covariate_state(cands, r=2, update_fn=congestion_update_fn, seed=seed)
+            state = partpred_state(cands, r=2, update_fn=congestion_update_fn, seed=seed)
             outs = []
             c_prev = None
             for _ in range(15):
-                a = partpred_step(state, "w", c_prev)
+                a = partpred_step(state, c_prev)
                 outs.append(a)
                 c_prev = play_profile(game, a)
             return outs
@@ -330,11 +340,11 @@ class TestPartpred:
         game = crowding_game(2, 2)
         cands = [D.dirac(c) for c in game.profiles()]
         start = cands.index(D.dirac(J((0, 0))))
-        state = single_covariate_state(cands, r=3, update_fn=congestion_update_fn, initial_index=start)
+        state = partpred_state(cands, r=3, update_fn=congestion_update_fn, initial_index=start)
         c_prev = None
         announced = []
         for _ in range(4):
-            a = partpred_step(state, "w", c_prev)
+            a = partpred_step(state, c_prev)
             announced.append(a.support[0])
             c_prev = play_profile(game, a)
         # three announcements of the starting candidate, then the update fires
