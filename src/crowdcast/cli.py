@@ -34,7 +34,7 @@ from .engine import (
     SimConfig,
     Trajectory,
     _RecordedEnv,
-    _validate,
+    _start,
     build_game,
     monte_carlo,
     policy_keys,
@@ -186,7 +186,7 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
             covariate=run.get("covariate", "w0"),
             log_losses=None if losses is None else tuple(losses.replace(",", " ").split()),
         )
-        _validate(config)  # before any output file exists
+        _start(config, 0)  # the whole config check, before any output file exists
     return config
 
 
@@ -309,15 +309,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """
     matrix = parse_day_csv(args.data)
     specs = _evaluate_specs(args.config)
-    with _open_out(args.out, "--out") as out:
-        results = []
-        for name, params in specs:
-            with _in_file(args.config or args.data):
-                traj = replay(name, params, matrix.rows)
-            total = 0.0  # summed left to right: sum() compensates on Python >= 3.12
-            for loss in traj.losses["point_pred"]:
-                total += loss
-            results.append((name, total / len(traj)))
+    results = []
+    for name, params in specs:
+        with _in_file(args.config or args.data):
+            traj = replay(name, params, matrix.rows)
+        total = 0.0  # summed left to right: sum() compensates on Python >= 3.12
+        for loss in traj.losses["point_pred"]:
+            total += loss
+        results.append((name, total / len(traj)))
+    with _open_out(args.out, "--out") as out:  # after every replay, so an error leaves no file
         if out is not None:
             out.write("method,mean_squared_error\n")
             out.writelines(f"{name},{mse!r}\n" for name, mse in results)

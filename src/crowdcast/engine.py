@@ -29,7 +29,6 @@ from .core import (
     InvalidParameterError,
     JointProfile,
     PointForecast,
-    ShapeError,
     StageRecord,
     _reject_unknown_keys,
     as_float,
@@ -69,7 +68,7 @@ class SimConfig:
     def losses(self) -> tuple[str, ...]:
         if self.log_losses is not None:
             return self.log_losses
-        return ENVS[self.setting].LOSSES
+        return setting_env(self.setting).LOSSES
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,7 @@ def closed_form_trajectory(
 
 
 def _scalar(a: tuple[float, ...]) -> tuple[float]:
-    """A scalar setting's forecast or outcome, checked to hold one finite entry."""
-    if len(a) != 1:
-        raise ShapeError(f"expected 1-dimensional forecast, got {len(a)}")
+    """A scalar forecast or outcome, checked to be finite; _opening_point checks its width."""
     if not math.isfinite(a[0]):
         raise InvalidParameterError("point forecast entries must be finite")
     return a
@@ -342,14 +339,21 @@ def policy_keys(env_cls: type, policy: str, field: str, where: str) -> Mapping[s
     return policies.POLICIES[policy].PARAMS[env_cls.kind]
 
 
-def _validate(config: SimConfig) -> None:
+def _start(config: SimConfig, run_index: int):
+    """The environment and policy of one run, each with its own generator.
+
+    Building them is the whole config check: every config error is raised here.
+    """
     env_cls = setting_env(config.setting)
     keys = policy_keys(env_cls, config.policy, "policy.name", f"setting {config.setting!r}")
-    for name in config.losses():
+    names = config.losses()
+    for k, name in enumerate(names):
         if name not in env_cls.LOSSES:
             raise InvalidConfigError(
                 f"run.losses: {name!r} not available in the {config.setting} setting"
             )
+        if name in names[:k]:
+            raise InvalidConfigError(f"run.losses: {name!r} is listed twice")
     _reject_unknown_keys("policy", config.policy_params, keys)
     if env_cls.kind == "point":  # build_game checks a game's keys as it reads them
         _reject_unknown_keys("environment", config.env_params, env_cls.PARAMS)
@@ -357,14 +361,9 @@ def _validate(config: SimConfig) -> None:
         raise InvalidConfigError("run.stages: need at least one stage")
     if config.seed < 0:
         raise InvalidConfigError(f"run.seed: expected a nonnegative integer, got {config.seed}")
-
-
-def _start(config: SimConfig, run_index: int):
-    """The environment and policy of one run, each with its own generator."""
-    _validate(config)
     seq = np.random.SeedSequence(entropy=(config.seed, run_index))
     env_rng, policy_rng = map(np.random.default_rng, seq.spawn(2))
-    env = ENVS[config.setting](config.env_params, env_rng)
+    env = env_cls(config.env_params, env_rng)
     policy_cls = policies.POLICIES[config.policy]
     return env, policy_cls.from_params(config.policy_params, policy_rng, env, "policy")
 
@@ -457,7 +456,6 @@ def monte_carlo(config: SimConfig, n_runs: int) -> MonteCarloSummary:
     """
     if n_runs < 1:
         raise InvalidConfigError("monte_carlo.n_runs: need at least one run")
-    _validate(config)
     loss_names = config.losses()
     per_run: dict[str, list[float]] = {name: [] for name in loss_names}
     finals: list[Forecast] = []

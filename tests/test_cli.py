@@ -383,6 +383,10 @@ def test_malformed_value_exits_2_naming_file_and_field(tmp_path, capsys, command
 GAME_ENV = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2\nslot_1 = -1 -2\n"
 NONATOMIC_RUN = LINEAR_RUN.replace("linear", "nonatomic")
 NONATOMIC_ENV = "[environment]\nphi = -0.8\nchi = -0.1\ndelta = 0.2\nx = 0.5\n"
+# 3^13 profiles, beyond the enumeration guard
+BIG_GAME_ENV = "[environment]\nplayers = 13\nslots = 3\n" + "".join(
+    f"slot_{k} = {' '.join(['-1'] * 13)}\n" for k in range(3)
+)
 
 
 @pytest.mark.parametrize(
@@ -475,6 +479,40 @@ def test_config_error_exits_2_before_any_output_file(tmp_path, capsys, run):
     out, plot = tmp_path / "out.csv", tmp_path / "plot.csv"
     assert main(["simulate", "--config", config, "--out", str(out), "--emit-plot-data", str(plot)]) == 2
     assert f"error: {config}: run." in capsys.readouterr().err
+    assert not out.exists() and not plot.exists()
+
+
+EXPODAMP = "[policy]\nname = expodamp\nalpha = 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GAME_RUN + "initial_index = 99\n" + GAME_ENV,
+         "policy.initial_index: 99 is outside the 4 candidates"),
+        (GAME_RUN.replace("r = 2", "r = 0") + GAME_ENV, "policy.r: group length must be at least 1"),
+        (GAME_RUN.replace("partpred\nr = 2", "naive\ninitial_profile = 0 5") + GAME_ENV,
+         "policy.initial_profile: expected one slot in 0..1 for each of the 2 players, got '0 5'"),
+        (GAME_RUN + BIG_GAME_ENV, "3^13 profiles exceed the enumeration guard"),
+        (LINEAR_RUN + EXPODAMP + LINEAR_ENV.replace("beta = 0.5\n", ""),
+         "environment.beta: required parameter missing"),
+        (LINEAR_RUN + EXPODAMP + LINEAR_ENV + "var_ex = -1\n", "noise variances must be nonnegative"),
+        (NONATOMIC_RUN + "[policy]\nname = average\n" + NONATOMIC_ENV.replace("0.2", "0.7"),
+         "delta must lie in (0, 0.5)"),
+        (LINEAR_RUN + "[policy]\nname = kalman\nbeta = 1\ngamma = 0.5\nx0_mean = 0.4\n" + LINEAR_ENV,
+         "beta = 1 leaves no fixed point to target"),
+        (LINEAR_RUN + "losses = point_pred point_pred\n" + EXPODAMP + LINEAR_ENV,
+         "run.losses: 'point_pred' is listed twice"),
+    ],
+    ids=["initial-index-out-of-range", "group-length-zero", "profile-slot-out-of-range",
+         "enumeration-guard", "missing-env-key", "negative-variance", "delta-out-of-band",
+         "kalman-beta-one", "loss-listed-twice"],
+)
+def test_error_building_the_run_exits_2_before_any_output_file(tmp_path, capsys, text, message):
+    config = write(tmp_path / "bad.ini", text)
+    out, plot = tmp_path / "out.csv", tmp_path / "plot.csv"
+    assert main(["simulate", "--config", config, "--out", str(out), "--emit-plot-data", str(plot)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert not out.exists() and not plot.exists()
 
 
@@ -609,13 +647,29 @@ def test_evaluate_errors_name_the_file_and_the_policy_section(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[evaluate]\npolicies = expodamp\n[expodamp]\nalpha = 0.5\ninitial = 1 2 3\n",
+         "expodamp.initial: expected 2 value(s), got 3"),
+        ("[evaluate]\npolicies = average expodamp\n[expodamp]\nalpha = 1e308\n",
+         "expodamp: stage 1: point forecast entries must be finite"),
+    ],
+    ids=["wide-initial", "diverging-replay"],
+)
+def test_evaluate_replay_error_leaves_no_output_file(tmp_path, capsys, text, message):
+    data = write(tmp_path / "days.csv", "a,b\n1,2\n3,4\n")
+    config = write(tmp_path / "e.ini", text)
+    out = tmp_path / "table.csv"
+    assert main(["evaluate", "--data", data, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv", [["simulate"], ["monte-carlo", "--runs", "2"]], ids=["simulate", "monte-carlo"]
 )
 def test_enumeration_guard_exits_2_naming_the_file(tmp_path, capsys, argv):
-    slots = "".join(f"slot_{k} = {' '.join(['-1'] * 13)}\n" for k in range(3))
-    config = write(
-        tmp_path / "big.ini", GAME_RUN + "[environment]\nplayers = 13\nslots = 3\n" + slots
-    )
+    config = write(tmp_path / "big.ini", GAME_RUN + BIG_GAME_ENV)
     assert main(argv + ["--config", config]) == 2
     assert f"error: {config}: 3^13 profiles exceed the enumeration guard" in capsys.readouterr().err
 

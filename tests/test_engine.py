@@ -306,6 +306,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError, match="run.losses: 'nash' not available in the linear"):
             policy_summary(cfg)
 
+    def test_loss_listed_twice_rejected(self):
+        cfg = SimConfig(
+            setting="finite-game", policy="naive", policy_params={"initial_profile": (0, 0)},
+            env_params={"game": crowding_game(2, 2)}, stages=3, seed=0, log_losses=("pred", "pred"),
+        )
+        with pytest.raises(InvalidConfigError, match="run.losses: 'pred' is listed twice"):
+            run_dynamic(cfg)
+
+    def test_default_losses_of_unknown_setting_name_run_setting(self):
+        cfg = SimConfig("bogus", "expodamp", {"alpha": 0.5}, {}, 3, 0)
+        with pytest.raises(InvalidConfigError, match="run.setting: 'bogus' is not one of"):
+            cfg.losses()
+
 
 def typed_game(*priors, d=3):
     """Bayesian game where type theta of any player takes slot theta % d, whatever the crowd.
