@@ -5,13 +5,17 @@ per-slot cumulative utility sum, and the fixed-point solver is a sign-scan
 plus bisection. They call nothing in the policies or the engine, but code is
 shared the other way: partpred walks the tuple of distributions that
 ``candidate_set`` returns, and the engine's ``nash`` loss calls ``is_nash`` or
-``is_bne``. ``prediction_equilibrium_report`` returns plain tuples of
-profiles, one per property, filled in one pass over the game's profiles.
+``is_bne``. ``candidate_set`` builds that tuple once per game value and keeps
+it for as long as the game object lives, so every run, config check and
+re-run on one game shares it. ``prediction_equilibrium_report`` returns plain
+tuples of profiles, one per property, filled in one pass over the game's
+profiles.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
@@ -136,6 +140,10 @@ def fixed_point_solve(
     raise NoFixedPointError(f"no point with residual <= {tol} on [{lo}, {hi}]")
 
 
+# Games are frozen dataclasses: equal games share an entry, which lives as long as its key.
+_CANDIDATES = weakref.WeakKeyDictionary()
+
+
 def candidate_set(
     game: FiniteCongestionGame | BayesianCongestionGame,
 ) -> tuple[DiscreteDistribution, ...]:
@@ -144,7 +152,21 @@ def candidate_set(
     Complete information: the Dirac on every joint profile, lexicographic.
     Bayesian: the outcome distribution of every deterministic strategy
     profile under the type prior, deduplicated within 1e-9.
+
+    The tuple is built once per game value and memoised for the lifetime of
+    the game object that first asked for it; every caller with an equal game
+    shares it, so no caller may change it. A game over the enumeration guard
+    raises TooLargeError on every call and stores nothing.
     """
+    candidates = _CANDIDATES.get(game)
+    if candidates is None:
+        candidates = _CANDIDATES[game] = _build_candidate_set(game)
+    return candidates
+
+
+def _build_candidate_set(
+    game: FiniteCongestionGame | BayesianCongestionGame,
+) -> tuple[DiscreteDistribution, ...]:
     if isinstance(game, FiniteCongestionGame):
         _guard_size(game)
         return tuple(DiscreteDistribution.dirac(c) for c in game.profiles())

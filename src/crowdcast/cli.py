@@ -176,6 +176,9 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
         else:
             env_params = _read_section(parser, "environment", env_cls.PARAMS)
         losses = run.get("losses")
+        log_losses = None if losses is None else tuple(losses.replace(",", " ").split())
+        if log_losses == ():  # SimConfig takes log_losses=(), but a config must name a loss
+            raise InvalidConfigError("run.losses: expected at least one loss name")
         config = SimConfig(
             setting=setting,
             policy=name,
@@ -184,7 +187,7 @@ def load_sim_config(path: str, seed_override: int | None = None) -> SimConfig:
             stages=counts["stages"],
             seed=counts["seed"] if seed_override is None else seed_override,
             covariate=run.get("covariate", "w0"),
-            log_losses=None if losses is None else tuple(losses.replace(",", " ").split()),
+            log_losses=log_losses,
         )
         _start(config, 0)  # the whole config check, before any output file exists
     return config

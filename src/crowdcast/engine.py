@@ -342,7 +342,8 @@ def policy_keys(env_cls: type, policy: str, field: str, where: str) -> Mapping[s
 def _start(config: SimConfig, run_index: int):
     """The environment and policy of one run, each with its own generator.
 
-    Building them is the whole config check: every config error is raised here.
+    Building them is the whole config check: every config error is raised here,
+    and a constructor's range error is raised again naming its section.
     """
     env_cls = setting_env(config.setting)
     keys = policy_keys(env_cls, config.policy, "policy.name", f"setting {config.setting!r}")
@@ -363,9 +364,15 @@ def _start(config: SimConfig, run_index: int):
         raise InvalidConfigError(f"run.seed: expected a nonnegative integer, got {config.seed}")
     seq = np.random.SeedSequence(entropy=(config.seed, run_index))
     env_rng, policy_rng = map(np.random.default_rng, seq.spawn(2))
-    env = env_cls(config.env_params, env_rng)
+    try:
+        env = env_cls(config.env_params, env_rng)
+    except InvalidParameterError as exc:
+        raise InvalidConfigError(f"environment: {exc}") from None
     policy_cls = policies.POLICIES[config.policy]
-    return env, policy_cls.from_params(config.policy_params, policy_rng, env, "policy")
+    try:
+        return env, policy_cls.from_params(config.policy_params, policy_rng, env, "policy")
+    except InvalidParameterError as exc:
+        raise InvalidConfigError(f"policy: {exc}") from None
 
 
 def _holds(stages: int, env, policy) -> Iterator[tuple[object, list]]:

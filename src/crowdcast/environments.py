@@ -249,6 +249,10 @@ class BayesianCongestionGame:
                     raise ShapeError(f"player {i}: utility block must be d x n")
                 if any(not math.isfinite(v) for row in block for v in row):
                     raise InvalidParameterError(f"player {i}: utilities must be finite")
+        # tuples all the way down, so a game given as lists hashes like an equal tuple game
+        utility = tuple(tuple(tuple(map(tuple, block)) for block in blocks) for blocks in self.utility)
+        object.__setattr__(self, "type_probs", tuple(map(tuple, self.type_probs)))
+        object.__setattr__(self, "utility", utility)
 
     @property
     def n(self) -> int:

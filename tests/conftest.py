@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from crowdcast import analysis
 from crowdcast.analysis import enumerate_bne
 from crowdcast.environments import BayesianCongestionGame, FiniteCongestionGame
 
@@ -68,3 +69,17 @@ def bayes_corpus() -> list[BayesianCongestionGame]:
         if seed > 500:
             raise RuntimeError("could not assemble the Bayesian game corpus")
     return games
+
+
+@pytest.fixture
+def candidate_builds(monkeypatch) -> list:
+    """The games whose candidate set is built, not found in the memo, one entry per build."""
+    builds = []
+    build = analysis._build_candidate_set
+
+    def counted(game):
+        builds.append(game)
+        return build(game)
+
+    monkeypatch.setattr(analysis, "_build_candidate_set", counted)
+    return builds

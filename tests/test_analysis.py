@@ -1,8 +1,11 @@
+import dataclasses
+import gc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from crowdcast import analysis
 from crowdcast.analysis import (
     NoFixedPointError,
     bayes_self_fulfilling_candidates,
@@ -180,6 +183,42 @@ class TestCandidateSet:
         )
         assert len(list(strategy_profiles(game))) == 16
         assert len(candidate_set(game)) == 4
+
+    def test_one_tuple_per_game_value(self, candidate_builds):
+        game = constant_game(value=0.375)
+        twin = dataclasses.replace(game)
+        assert twin is not game and twin == game
+        assert candidate_set(game) is candidate_set(game)
+        assert candidate_set(twin) is candidate_set(game)
+        assert candidate_builds == [game]
+
+    def test_entry_lives_as_long_as_the_game(self):
+        game = constant_game(value=0.625)
+        candidate_set(game)
+        assert game in analysis._CANDIDATES
+        del game
+        gc.collect()
+        assert constant_game(value=0.625) not in analysis._CANDIDATES
+
+    def test_enumeration_guard_raises_on_every_call_and_stores_nothing(self, candidate_builds):
+        game = constant_game(n=13, d=3)
+        for _ in range(2):
+            with pytest.raises(TooLargeError, match="3\\^13 profiles"):
+                candidate_set(game)
+        assert len(candidate_builds) == 2
+        assert game not in analysis._CANDIDATES
+
+    def test_bayes_game_given_as_lists_shares_the_tuple_games_entry(self):
+        block = ((2.0, -1.0), (1.0, -3.0))
+        game = BayesianCongestionGame(
+            d=2, type_probs=((0.5, 0.5), (0.5, 0.5)), utility=((block, block), (block, block))
+        )
+        rows = [list(row) for row in block]
+        listed = BayesianCongestionGame(
+            d=2, type_probs=[[0.5, 0.5], [0.5, 0.5]], utility=[[rows, rows], [rows, rows]]
+        )
+        assert listed == game
+        assert candidate_set(listed) is candidate_set(game)
 
     def test_outcome_distribution_matches_strategy(self):
         block = ((2.0, -1.0), (1.0, -2.0))

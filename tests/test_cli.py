@@ -447,6 +447,8 @@ BIG_GAME_ENV = "[environment]\nplayers = 13\nslots = 3\n" + "".join(
          "[expodmap]: unknown section; allowed: evaluate, expodamp, average, naive"),
         ("analyze", "[game]\nplayers = 1\nslots = 2\nslot_0 = 1\nslot_1 = 0\n" + GAME_ENV,
          "[environment]: unknown section; allowed: game"),
+        ("monte-carlo", LINEAR_RUN + "losses = ,\n[policy]\nname = average\n" + LINEAR_ENV,
+         "run.losses: expected at least one loss name"),
     ],
     ids=[
         "initial-index-out-of-range", "group-length-zero", "profile-longer-than-players", "profile-shorter-than-players",
@@ -457,6 +459,7 @@ BIG_GAME_ENV = "[environment]\nplayers = 13\nslots = 3\n" + "".join(
         "kalman-in-evaluate", "naive-without-initial", "no-setting", "no-policy-name",
         "zero-stages", "no-evaluate-section", "no-game-section", "simulate-unknown-section",
         "monte-carlo-unknown-section", "evaluate-unknown-section", "analyze-game-and-environment",
+        "monte-carlo-empty-losses",
     ],
 )
 def test_inputs_that_used_to_crash_exit_2_naming_the_field(tmp_path, capsys, command, text, field):
@@ -496,17 +499,20 @@ EXPODAMP = "[policy]\nname = expodamp\nalpha = 0.5\n"
         (GAME_RUN + BIG_GAME_ENV, "3^13 profiles exceed the enumeration guard"),
         (LINEAR_RUN + EXPODAMP + LINEAR_ENV.replace("beta = 0.5\n", ""),
          "environment.beta: required parameter missing"),
-        (LINEAR_RUN + EXPODAMP + LINEAR_ENV + "var_ex = -1\n", "noise variances must be nonnegative"),
+        (LINEAR_RUN + EXPODAMP + LINEAR_ENV + "var_ex = -1\n",
+         "environment: noise variances must be nonnegative"),
         (NONATOMIC_RUN + "[policy]\nname = average\n" + NONATOMIC_ENV.replace("0.2", "0.7"),
-         "delta must lie in (0, 0.5)"),
+         "environment: delta must lie in (0, 0.5)"),
         (LINEAR_RUN + "[policy]\nname = kalman\nbeta = 1\ngamma = 0.5\nx0_mean = 0.4\n" + LINEAR_ENV,
-         "beta = 1 leaves no fixed point to target"),
+         "policy: beta = 1 leaves no fixed point to target"),
         (LINEAR_RUN + "losses = point_pred point_pred\n" + EXPODAMP + LINEAR_ENV,
          "run.losses: 'point_pred' is listed twice"),
+        (GAME_RUN.replace("seed = 1\n", "seed = 1\nlosses =\n") + GAME_ENV,
+         "run.losses: expected at least one loss name"),
     ],
     ids=["initial-index-out-of-range", "group-length-zero", "profile-slot-out-of-range",
          "enumeration-guard", "missing-env-key", "negative-variance", "delta-out-of-band",
-         "kalman-beta-one", "loss-listed-twice"],
+         "kalman-beta-one", "loss-listed-twice", "empty-losses"],
 )
 def test_error_building_the_run_exits_2_before_any_output_file(tmp_path, capsys, text, message):
     config = write(tmp_path / "bad.ini", text)
@@ -514,6 +520,15 @@ def test_error_building_the_run_exits_2_before_any_output_file(tmp_path, capsys,
     assert main(["simulate", "--config", config, "--out", str(out), "--emit-plot-data", str(plot)]) == 2
     assert capsys.readouterr().err == f"error: {config}: {message}\n"
     assert not out.exists() and not plot.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "monte-carlo"])
+def test_a_command_builds_the_candidate_set_once(tmp_path, candidate_builds, command):
+    # the config check, every run and simulate's policy_summary re-run share one game
+    game = "[environment]\nplayers = 2\nslots = 2\nslot_0 = -1 -2.75\nslot_1 = -1.25 -2.5\n"
+    argv = [command, "--config", write(tmp_path / "search.ini", GAME_RUN + game)]
+    assert main(argv + (["--runs", "4"] if command == "monte-carlo" else [])) == 0
+    assert len(candidate_builds) == 1
 
 
 @pytest.mark.parametrize(

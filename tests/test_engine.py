@@ -30,6 +30,7 @@ from crowdcast.engine import (
 )
 from crowdcast.environments import (
     BayesianCongestionGame,
+    FiniteCongestionGame,
     LinearAggregateEnv,
     NonatomicPopulation,
     bayes_play_profile,
@@ -568,6 +569,20 @@ class TestMonteCarlo:
         for final in summary.final_forecasts:
             response = exact_response(cfg, final)
             assert response == final
+
+    def test_runs_share_one_candidate_set(self, candidate_builds):
+        game = FiniteCongestionGame(n=2, d=2, utility=((-1.0, -2.75), (-1.25, -2.5)))
+        cfg = SimConfig(
+            setting="finite-game",
+            policy="partpred",
+            policy_params={"r": 1},
+            env_params={"game": game},
+            stages=15,
+            seed=5,
+        )
+        summary = monte_carlo(cfg, n_runs=5)
+        assert summary.self_fulfilling_fraction == 1.0
+        assert candidate_builds == [game]
 
     def test_damped_beats_average_on_drifting_series(self):
         base = dict(
